@@ -91,7 +91,9 @@ Status decode_share(Reader& r, CodedShare& s) {
   s.n = static_cast<uint32_t>(v);
   RSP_RETURN_IF_ERROR(r.varint(s.value_len));
   RSP_RETURN_IF_ERROR(r.bytes(s.header));
-  RSP_RETURN_IF_ERROR(r.bytes(s.data));
+  Bytes data;
+  RSP_RETURN_IF_ERROR(r.bytes(data));
+  s.data = std::move(data);
   if (s.x < 1 || s.n < s.x || s.share_idx >= s.n) {
     return Status::corruption("bad coding metadata");
   }

@@ -346,7 +346,7 @@ void Replica::propose(Bytes header, Bytes payload, ProposeFn cb) {
     return;
   }
   propose_internal(kNoSlot, EntryKind::kNormal, ValueId{ctx_->id(), vid_seq_++},
-                   std::move(header), std::move(payload), std::move(cb));
+                   std::move(header), SharedBytes(std::move(payload)), std::move(cb));
 }
 
 void Replica::propose_config(GroupConfig new_cfg, ProposeFn cb) {
@@ -366,8 +366,9 @@ void Replica::propose_config(GroupConfig new_cfg, ProposeFn cb) {
 }
 
 /// Everything a pool-encoded proposal needs to finish on the reactor thread.
-/// Owns the payload, the pre-built accept frames (the codec writes into
-/// their gaps from the worker) and the leader's own share buffer; nothing in
+/// Holds the (immutable) payload, the pre-built accept frames (the codec
+/// writes into their gaps from the worker) and the leader's own share buffer
+/// (empty in full-copy mode, where the payload is the share); nothing in
 /// log_/pending_ references this proposal until the completion validates
 /// that leadership is unchanged — a stale completion must leave no trace of
 /// a share that was never sent.
@@ -376,7 +377,7 @@ struct Replica::AsyncEncode {
   EntryKind kind = EntryKind::kNormal;
   ValueId vid;
   Bytes header;
-  Bytes payload;
+  SharedBytes payload;
   std::vector<Bytes> frames;
   Bytes my_share;
   std::vector<uint8_t*> dsts;
@@ -389,7 +390,7 @@ struct Replica::AsyncEncode {
 };
 
 void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                               Bytes payload, ProposeFn cb) {
+                               SharedBytes payload, ProposeFn cb) {
   if (slot == kNoSlot) {
     slot = next_slot_++;
   } else {
@@ -417,10 +418,11 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // Zero-copy encode: build every follower's accept frame up front with a
   // share-sized gap and point the codec's output buffers straight into those
   // gaps (the leader's own share lands in a standalone buffer that moves
-  // into its log entry). Share bytes are written exactly once — no per-share
-  // staging copy; retransmissions resend the frames verbatim (their
-  // piggybacked commit_index stays as of propose time, which is harmless:
-  // the watermark also rides every heartbeat).
+  // into its log entry — or, in full-copy mode, is skipped: that share is
+  // the payload itself). Share bytes are written exactly once — no
+  // per-share staging copy; retransmissions resend the frames verbatim
+  // (their piggybacked commit_index stays as of propose time, which is
+  // harmless: the watermark also rides every heartbeat).
   AcceptMsg meta;
   meta.epoch = cfg_.epoch;
   meta.ballot = ballot_;
@@ -437,11 +439,11 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   obs::SpanContext encode_span = tracer.start_span(
       commit_span, "ec_encode", ctx_->id(), static_cast<int64_t>(ctx_->now()));
   std::vector<Bytes> frames(static_cast<size_t>(n));
-  Bytes my_share(ss);
+  Bytes my_share(meta.share.full_copy() ? 0 : ss);
   std::vector<uint8_t*> dsts(static_cast<size_t>(n), nullptr);
   for (int idx = 0; idx < n; ++idx) {
     if (idx == my_idx) {
-      dsts[static_cast<size_t>(idx)] = my_share.data();
+      if (!meta.share.full_copy()) dsts[static_cast<size_t>(idx)] = my_share.data();
       continue;
     }
     meta.share.share_idx = static_cast<uint32_t>(idx);
@@ -507,7 +509,7 @@ void Replica::on_encode_done(std::shared_ptr<AsyncEncode> job) {
 }
 
 void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                             Bytes payload, ProposeFn cb, std::vector<Bytes> frames,
+                             SharedBytes payload, ProposeFn cb, std::vector<Bytes> frames,
                              Bytes my_share, obs::SpanContext commit_span,
                              TimeMicros proposed_at) {
   obs::Tracer& tracer = obs::Tracer::global();
@@ -526,7 +528,8 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
 
   // The leader is also an acceptor: record and persist its own share, cache
   // the full value for serving reads and catch-up (§1: "the leader caches
-  // the original value itself").
+  // the original value itself"). In full-copy mode the share is the value:
+  // one buffer serves as both.
   LogEntry& e = log_[slot];
   e.accepted = ballot_;
   e.share.vid = vid;
@@ -537,9 +540,14 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
   e.share.n = static_cast<uint32_t>(n);
   e.share.value_len = p.value_len;
   e.share.header = p.header;
-  e.share.data = std::move(my_share);
   e.committed = false;
-  e.full_payload = std::move(payload);
+  if (e.share.full_copy()) {
+    e.share.data = std::move(payload);
+    e.payload.clear();
+  } else {
+    e.share.data = std::move(my_share);
+    e.payload = std::move(payload);
+  }
 
   auto [it, inserted] = pending_.emplace(slot, std::move(p));
   assert(inserted);
@@ -739,14 +747,11 @@ void Replica::on_accept(NodeId from, AcceptMsg msg) {
     advance_commit_index(std::max(commit_index_, msg.commit_index));
     return;
   }
+  // A cached payload survives only a re-proposal of the same value.
+  if (e.share.vid != msg.share.vid) e.payload.clear();
   e.accepted = msg.ballot;
   e.share = std::move(msg.share);
   e.durable = false;
-  if (e.share.x == 1 && e.share.code == ec::CodeId::kRs) {
-    // Full-copy mode: the share *is* the value (classic Paxos). Non-rs codes
-    // never qualify — even at x == 1 their shares carry parity layout.
-    e.full_payload = e.share.data;
-  }
   next_slot_ = std::max(next_slot_, msg.slot + 1);
   out.ok = true;
   out.promised = promised_;
@@ -848,7 +853,7 @@ void Replica::try_apply() {
       view.kind = e.share.kind;
       view.vid = e.share.vid;
       view.header = &e.share.header;
-      view.full_payload = e.full_payload.has_value() ? &*e.full_payload : nullptr;
+      view.full_payload = e.full_payload();
       view.share = &e.share;
       apply_(view);
     }
@@ -963,9 +968,6 @@ void Replica::restore_from_wal() {
           LogEntry& e = log_[slot];
           e.accepted = accepted;
           e.share = std::move(share);
-          if (e.share.x == 1 && e.share.code == ec::CodeId::kRs) {
-            e.full_payload = e.share.data;
-          }
           next_slot_ = std::max(next_slot_, slot + 1);
         }
         return;
@@ -1001,6 +1003,12 @@ void Replica::restore_from_wal() {
   }
 }
 
+Replica::EntryBuffers Replica::entry_buffers_for_test(Slot slot) const {
+  auto it = log_.find(slot);
+  if (it == log_.end()) return {};
+  return EntryBuffers{it->second.share.data.id(), it->second.payload.id()};
+}
+
 void Replica::maybe_drop_old_payloads() {
   if (opts_.payload_cache_slots != 0 && applied_index_ > opts_.payload_cache_slots) {
     Slot cutoff = applied_index_ - opts_.payload_cache_slots;
@@ -1008,15 +1016,11 @@ void Replica::maybe_drop_old_payloads() {
     // each call walks only newly aged-out entries. Without the floor this
     // rescan is O(applied_index) per apply batch — quadratic over a long
     // run, and open-loop saturation runs push hundreds of thousands of
-    // slots. (A retransmitted accept can re-create a slot below the floor;
-    // its cached bytes then live until restart, bounded by retransmit
-    // traffic.)
+    // slots. This relies on nothing caching a payload at or below the floor
+    // later: accepts never set one, and recovery reads cache only above it.
     for (auto it = log_.upper_bound(payload_gc_floor_);
          it != log_.end() && it->first <= cutoff; ++it) {
-      if (it->second.applied && it->second.full_payload.has_value() &&
-          it->second.share.x > 1) {
-        it->second.full_payload.reset();
-      }
+      if (it->second.applied) it->second.payload.clear();
     }
     payload_gc_floor_ = std::max(payload_gc_floor_, cutoff);
   }
@@ -1036,9 +1040,8 @@ void Replica::maybe_drop_old_payloads() {
          it != log_.end() && it->first <= cutoff; ++it) {
       LogEntry& e = it->second;
       if (e.applied && !e.share.data.empty()) {
-        e.full_payload.reset();
+        e.payload.clear();
         e.share.data.clear();
-        e.share.data.shrink_to_fit();
         m_.share_gc_dropped.inc();
       }
     }

@@ -55,14 +55,19 @@ struct ReplicaOptions {
   DurationMicros lease_duration = 250 * kMillis;   // Δ of §4.3
   DurationMicros max_clock_drift = 20 * kMillis;   // δ of §4.3
   DurationMicros retransmit_interval = 100 * kMillis;
-  /// Full payloads of applied entries older than this many slots behind the
-  /// commit index are dropped; recovery re-gathers shares on demand (§4.4's
-  /// recovery read).
+  /// The log drops its cached full payload of an applied entry once the
+  /// entry is this many slots behind the applied index; recovery re-gathers
+  /// shares on demand (§4.4's recovery read). A KV row that stores the value
+  /// keeps its own reference to the same buffer. 0 keeps every payload.
   uint64_t payload_cache_slots = 512;
-  /// Log compaction: share *data* of applied entries older than this many
-  /// slots is dropped too (metadata kept). 0 keeps everything. The durable
-  /// copy lives in the WAL and the state machine's local store; compacted
-  /// slots simply stop answering fetch-share requests from this replica.
+  /// Share GC: the log drops its reference to the share (and any cached
+  /// payload) of applied entries more than this many slots behind the
+  /// applied index, keeping the metadata. 0 keeps every share. With
+  /// checkpointing on, only slots a durable snapshot covers are eligible.
+  /// The bytes stay in memory while a KV row still references the same
+  /// buffer (a follower's share-only row) and on disk until the WAL prefix
+  /// is truncated; a stripped slot stops answering fetch-share requests
+  /// from this replica.
   uint64_t share_cache_slots = 0;
   /// If true this node starts campaigning immediately at start() (used to
   /// give groups a deterministic initial leader).
@@ -97,15 +102,16 @@ struct ReplicaOptions {
 };
 
 /// A committed log entry as handed to the state machine. Followers usually
-/// see only their own coded share (full_payload empty) — the KV layer tags
-/// such values "incomplete" (§4.4).
+/// see only their own coded share (full_payload null) — the KV layer tags
+/// such values "incomplete" (§4.4). Both buffers are the log's own: a state
+/// machine that keeps them copies the SharedBytes handle, not the bytes.
 struct ApplyView {
   Slot slot = 0;
   EntryKind kind = EntryKind::kNormal;
   ValueId vid;
-  const Bytes* header = nullptr;        // always present (may be empty)
-  const Bytes* full_payload = nullptr;  // present on leader / after recovery
-  const CodedShare* share = nullptr;    // this replica's share
+  const Bytes* header = nullptr;              // always present (may be empty)
+  const SharedBytes* full_payload = nullptr;  // present on leader / after recovery
+  const CodedShare* share = nullptr;          // this replica's share
 };
 
 /// Aggregate cost/behaviour counters (the paper's evaluation metrics).
@@ -130,7 +136,7 @@ class Replica final : public MessageHandler {
  public:
   using ProposeFn = std::function<void(StatusOr<Slot>)>;
   using ApplyFn = std::function<void(const ApplyView&)>;
-  using RecoverFn = std::function<void(StatusOr<Bytes>)>;
+  using RecoverFn = std::function<void(StatusOr<SharedBytes>)>;
   /// Invoked when a CONFIG entry is applied; `action` is the §4.6 re-coding
   /// plan the new view requires.
   using ConfigChangeFn =
@@ -175,7 +181,8 @@ class Replica final : public MessageHandler {
   void start();
 
   /// Leader-only: replicate a command. `header` is copied to every acceptor
-  /// in full; `payload` is erasure-coded θ(X, N). The callback fires with
+  /// in full; `payload` is erasure-coded θ(X, N) and then kept, without a
+  /// copy, as the log entry's cached value. The callback fires with
   /// the assigned slot once the value is chosen (QW durable acks), or with
   /// kUnavailable{leader hint} if this node is not the leader.
   void propose(Bytes header, Bytes payload, ProposeFn cb);
@@ -185,7 +192,8 @@ class Replica final : public MessageHandler {
   void propose_config(GroupConfig new_cfg, ProposeFn cb);
 
   /// Gathers >= X shares of the committed entry in `slot` and returns the
-  /// decoded payload (§4.4 recovery read). Works on any replica.
+  /// decoded payload (§4.4 recovery read). Works on any replica. Returns the
+  /// log's own buffer when the value is resident.
   void recover_payload(Slot slot, RecoverFn cb);
 
   /// Leader-only, best-effort: nudge `target` to campaign (kLeaderTransfer).
@@ -220,16 +228,36 @@ class Replica final : public MessageHandler {
   /// state image from the group's fragments (applies are paused).
   bool state_ready() const { return state_ready_; }
 
+  /// Test hook: identities (SharedBytes::id) of the value buffers the log
+  /// entry for `slot` holds — its share and its cached payload. Both null
+  /// when the slot is absent or its buffers were dropped.
+  struct EntryBuffers {
+    const void* share = nullptr;
+    const void* payload = nullptr;
+  };
+  EntryBuffers entry_buffers_for_test(Slot slot) const;
+
  private:
   enum class Role { kFollower, kCandidate, kLeader };
 
   struct LogEntry {
     Ballot accepted;
-    CodedShare share;                  // this replica's durable share
-    std::optional<Bytes> full_payload; // cached original value (leader-side)
+    CodedShare share;  // this replica's durable share
+    /// Cached original value (the leader's proposal or a recovery read's
+    /// decode), shared with the KV row that stores it. Never set in
+    /// full-copy mode, where the share already is the value.
+    SharedBytes payload;
     bool durable = false;  // share persisted; duplicate accepts ack directly
     bool committed = false;
     bool applied = false;
+
+    /// The full value when it is resident here: the share itself in
+    /// full-copy mode, otherwise the cache. An empty value is always
+    /// resident; null when only a coded share (or nothing) is left.
+    const SharedBytes* full_payload() const {
+      const SharedBytes& v = share.full_copy() ? share.data : payload;
+      return v.empty() && share.value_len > 0 ? nullptr : &v;
+    }
   };
 
   struct PendingProposal {
@@ -308,14 +336,14 @@ class Replica final : public MessageHandler {
   /// Runs phase 2 for `slot` (pass kNoSlot to assign the next free one).
   static constexpr Slot kNoSlot = 0;
   void propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                        Bytes payload, ProposeFn cb);
+                        SharedBytes payload, ProposeFn cb);
   /// Everything a proposal does after its shares exist: installs the leader's
   /// own log entry, registers the pending proposal, sends the accepts and
   /// persists the leader's share. Runs on the reactor thread — directly for
   /// inline encodes, or from the posted completion of a pool encode.
   struct AsyncEncode;
   void finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                      Bytes payload, ProposeFn cb, std::vector<Bytes> frames,
+                      SharedBytes payload, ProposeFn cb, std::vector<Bytes> frames,
                       Bytes my_share, obs::SpanContext commit_span,
                       TimeMicros proposed_at);
   void on_encode_done(std::shared_ptr<AsyncEncode> job);

@@ -29,7 +29,7 @@ namespace {
 
 /// Extracts the sub-stripes named by `mask` (ascending bit order — the
 /// concatenation EcPolicy::run_repair expects) from a full share image.
-Bytes slice_sub_shares(const Bytes& data, int s, size_t sub, uint32_t mask) {
+Bytes slice_sub_shares(BytesView data, int s, size_t sub, uint32_t mask) {
   Bytes out;
   out.reserve(static_cast<size_t>(std::popcount(mask)) * sub);
   for (int j = 0; j < s; ++j) {
@@ -98,13 +98,19 @@ void Replica::serve_catchup(NodeId to, Slot from_slot, Slot to_slot) {
     CatchupEntry ce;
     ce.slot = s;
     ce.ballot = e.accepted;
-    ce.share = e.share;  // copies metadata + header
+    ce.share = e.share;  // copies metadata + header; shares the data buffer
     ce.share.share_idx = static_cast<uint32_t>(to_idx);
-    if (e.full_payload.has_value()) {
+    const SharedBytes* value = e.full_payload();
+    if (value == nullptr) {
+      need_repair.push_back(s);
+      continue;
+    }
+    if (!e.share.full_copy()) {
       // "The leader needs to re-code the data and send the corresponding
       // fragment to the recovering server" (§4.5). Validate the persisted
       // coding params before touching the (asserting) cache: a corrupt WAL
-      // record yields a skipped entry, not a crash.
+      // record yields a skipped entry, not a crash. (In full-copy mode the
+      // share already is the value, for every index.)
       auto pol = ec::PolicyCache::get_checked(static_cast<uint8_t>(e.share.code),
                                               e.share.x, e.share.n);
       if (!pol.is_ok()) {
@@ -112,13 +118,7 @@ void Replica::serve_catchup(NodeId to, Slot from_slot, Slot to_slot) {
                   << ": bad share coding params: " << pol.status().to_string();
         continue;
       }
-      ce.share.data = pol.value()->encode_share(*e.full_payload, to_idx);
-    } else if (e.share.x == 1 && e.share.code == ec::CodeId::kRs &&
-               !(e.share.data.empty() && e.share.value_len > 0)) {
-      // Full copy already (and not compacted away).
-    } else {
-      need_repair.push_back(s);
-      continue;
+      ce.share.data = pol.value()->encode_share(*value, to_idx);
     }
     m_.catchup_entries_served.inc();
     m_.catchup_bytes.inc(ce.share.header.size() + ce.share.data.size());
@@ -153,11 +153,9 @@ void Replica::on_catchup_rep(NodeId from, CatchupRepMsg msg) {
   for (CatchupEntry& ce : msg.entries) {
     LogEntry& e = log_[ce.slot];
     if (e.applied) continue;
+    if (e.share.vid != ce.share.vid) e.payload.clear();
     e.accepted = ce.ballot;
     e.share = std::move(ce.share);
-    if (e.share.x == 1 && e.share.code == ec::CodeId::kRs) {
-      e.full_payload = e.share.data;
-    }
     e.committed = true;
     persist_slot(ce.slot, nullptr);
   }
@@ -171,8 +169,8 @@ void Replica::on_catchup_rep(NodeId from, CatchupRepMsg msg) {
 
 void Replica::recover_payload(Slot slot, RecoverFn cb) {
   auto lit = log_.find(slot);
-  if (lit != log_.end() && lit->second.full_payload.has_value()) {
-    if (cb) cb(*lit->second.full_payload);
+  if (lit != log_.end() && lit->second.full_payload() != nullptr) {
+    if (cb) cb(*lit->second.full_payload());
     return;
   }
   if (slot <= snap_applied_ && lit == log_.end()) {
@@ -196,7 +194,7 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
     rec.value_len = own.value_len;
     if (!own.data.empty() || own.value_len == 0) {
       // Seed our own share unless GC stripped it (empty data, nonzero len).
-      rec.shares[static_cast<int>(own.share_idx)] = own.data;
+      rec.shares[static_cast<int>(own.share_idx)] = Bytes(own.data.begin(), own.data.end());
     }
   }
   FetchShareReqMsg req;
@@ -303,7 +301,8 @@ void Replica::on_fetch_share_rep(NodeId from, FetchShareRepMsg msg) {
   rec.n = msg.share.n;
   rec.code = msg.share.code;
   rec.value_len = msg.share.value_len;
-  rec.shares[static_cast<int>(msg.share.share_idx)] = std::move(msg.share.data);
+  rec.shares[static_cast<int>(msg.share.share_idx)] =
+      Bytes(msg.share.data.begin(), msg.share.data.end());
 
   // Validate the wire coding params once, before any decode: corrupt values
   // fail the waiters with a Status instead of asserting in a codec cache.
@@ -322,6 +321,7 @@ void Replica::on_fetch_share_rep(NodeId from, FetchShareRepMsg msg) {
                                 ? pol_or.value()->decode(rec.shares, rec.value_len)
                                 : StatusOr<Bytes>(pol_or.status());
   std::vector<RecoverFn> cbs = std::move(rec.cbs);
+  const ValueId vid = rec.vid;
   if (rec.retry_timer != 0) ctx_->cancel_timer(rec.retry_timer);
   recoveries_.erase(rit);
   if (!payload.is_ok()) {
@@ -330,9 +330,16 @@ void Replica::on_fetch_share_rep(NodeId from, FetchShareRepMsg msg) {
     }
     return;
   }
-  Bytes value = std::move(payload).value();
+  SharedBytes value(std::move(payload).value());
+  // Cache for catch-up — but only above the payload GC floor: at or below
+  // it maybe_drop_old_payloads never looks again, so a cached value there
+  // would stay pinned until restart. Full-copy entries never cache (the
+  // share is the value; if it is gone, share GC dropped it on purpose).
   auto lit = log_.find(slot);
-  if (lit != log_.end()) lit->second.full_payload = value;  // cache for catch-up
+  if (lit != log_.end() && slot > payload_gc_floor_ && !lit->second.share.full_copy() &&
+      lit->second.share.vid == vid) {
+    lit->second.payload = value;
+  }
   for (auto& cb : cbs) {
     if (cb) cb(value);
   }
@@ -454,7 +461,7 @@ bool Replica::absorb_repair_rep(const FetchShareRepMsg& msg) {
   const uint32_t wire_want = (want->sub_mask == full) ? 0u : want->sub_mask;
   Bytes data;
   if (msg.sub_mask == wire_want || msg.sub_mask == want->sub_mask) {
-    data = msg.share.data;  // exactly the sub-shares the plan asked for
+    data.assign(msg.share.data.begin(), msg.share.data.end());  // exactly the plan's sub-shares
   } else if (msg.sub_mask == 0 &&
              msg.share.data.size() == pol.share_size(pr.value_len)) {
     // Responder sent the whole share (e.g. it predates sub-masking); cut out

@@ -44,7 +44,9 @@ StatusOr<Phase1Choice> choose_phase1_value(const std::vector<PromiseEntry>& entr
     if (!code.decodable(have)) continue;  // not recoverable
     // Decode the payload from the shares.
     std::map<int, Bytes> input;
-    for (const auto& [idx, share] : c.shares) input.emplace(idx, share->data);
+    for (const auto& [idx, share] : c.shares) {
+      input.emplace(idx, Bytes(share->data.begin(), share->data.end()));
+    }
     auto payload = code.decode(input, c.any->value_len);
     if (!payload.is_ok()) return payload.status();
     Phase1Choice choice;

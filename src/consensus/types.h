@@ -85,7 +85,12 @@ struct CodedShare {
   uint32_t n = 1;           // total share count of the coding config
   uint64_t value_len = 0;   // length of the uncoded payload
   Bytes header;             // uncoded metadata, full copy
-  Bytes data;               // the coded share (== full payload when x == 1)
+  SharedBytes data;         // the coded share (== full payload in full-copy mode)
+
+  /// Full-copy mode (classic Paxos): x == 1 under rs, where every share *is*
+  /// the value. Non-rs codes never qualify — even at x == 1 their shares
+  /// carry parity layout.
+  bool full_copy() const { return x == 1 && code == ec::CodeId::kRs; }
 
   size_t wire_size() const { return header.size() + data.size() + 40; }
 };

@@ -189,6 +189,7 @@ void EcPolicy::encode_into(BytesView value, uint8_t* const* dsts) const {
   };
   std::vector<ComputedRow> computed;
   for (int i = 0; i < n_; ++i) {
+    if (dsts[i] == nullptr) continue;
     for (int j = 0; j < s_; ++j) {
       const uint8_t* row =
           gen_.row(static_cast<size_t>(i) * static_cast<size_t>(s_) + static_cast<size_t>(j));

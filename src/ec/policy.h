@@ -99,7 +99,7 @@ class EcPolicy {
   virtual std::vector<Bytes> encode(BytesView value) const;
 
   /// Zero-copy encode into caller-provided buffers dsts[0..n), each
-  /// share_size(value.size()) writable bytes.
+  /// share_size(value.size()) writable bytes. A null dsts[i] skips share i.
   virtual void encode_into(BytesView value, uint8_t* const* dsts) const;
 
   /// Encodes only share `index`.

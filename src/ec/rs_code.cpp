@@ -74,7 +74,8 @@ StatusOr<RsCode> RsCode::create(int m, int n) {
   return RsCode(m, n, std::move(enc));
 }
 
-void RsCode::encode_parity_into(uint8_t* const* dsts, size_t ss) const {
+void RsCode::encode_parity_into(const uint8_t* const* srcs, uint8_t* const* dsts,
+                                size_t ss) const {
   // Cache-blocked matrix kernel: for each column block, sweep every data
   // share once while it is hot and accumulate into all n-m parity rows
   // (row-major coefficient tile). The j == 0 pass initializes parity via
@@ -82,8 +83,9 @@ void RsCode::encode_parity_into(uint8_t* const* dsts, size_t ss) const {
   for (size_t off = 0; off < ss; off += kCodeBlock) {
     const size_t len = std::min(kCodeBlock, ss - off);
     for (int j = 0; j < m_; ++j) {
-      const uint8_t* src = dsts[j] + off;
+      const uint8_t* src = srcs[j] + off;
       for (int i = m_; i < n_; ++i) {
+        if (dsts[i] == nullptr) continue;
         const uint8_t c = encode_matrix_.at(static_cast<size_t>(i), static_cast<size_t>(j));
         if (j == 0) {
           gf::mul_region(dsts[i] + off, src, c, len);
@@ -100,15 +102,32 @@ void RsCode::encode_into(BytesView value, uint8_t* const* dsts) const {
   auto start = std::chrono::steady_clock::now();
   const size_t ss = share_size(value.size());
   if (ss > 0) {
-    // Systematic shares: padded splits of the value.
+    // Systematic shares: padded splits of the value. Parity reads each split
+    // from its share buffer, or — for a skipped share — straight from the
+    // value (padded into `pads` only when the split runs past its end).
+    const uint8_t* const* srcs = dsts;
+    std::vector<const uint8_t*> skipped;
+    std::vector<Bytes> pads;
     for (int i = 0; i < m_; ++i) {
       uint8_t* d = dsts[i];
       const size_t off = static_cast<size_t>(i) * ss;
       const size_t len = off < value.size() ? std::min(ss, value.size() - off) : 0;
+      if (d == nullptr) {
+        if (skipped.empty()) skipped.assign(dsts, dsts + m_);
+        if (len == ss) {
+          skipped[static_cast<size_t>(i)] = value.data() + off;
+        } else {
+          Bytes& pad = pads.emplace_back(ss, 0);
+          if (len > 0) std::memcpy(pad.data(), value.data() + off, len);
+          skipped[static_cast<size_t>(i)] = pad.data();
+        }
+        srcs = skipped.data();
+        continue;
+      }
       if (len > 0) std::memcpy(d, value.data() + off, len);
       if (len < ss) std::memset(d + len, 0, ss - len);
     }
-    encode_parity_into(dsts, ss);
+    encode_parity_into(srcs, dsts, ss);
   }
   em.encode_ops->inc();
   em.encode_bytes->inc(value.size());

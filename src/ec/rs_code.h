@@ -39,7 +39,9 @@ class RsCode {
 
   /// Zero-copy encode: writes share i into dsts[i] for i in [0, n), each a
   /// caller-provided buffer of share_size(value.size()) writable bytes (the
-  /// proposer points these straight into its outgoing wire frames). Any
+  /// proposer points these straight into its outgoing wire frames). A null
+  /// dsts[i] skips share i (the proposer's own share in full-copy mode,
+  /// where that share is the value it already holds). Any
   /// alignment works; 32-byte-aligned buffers hit the fastest kernel path.
   /// Parity is produced by a cache-blocked matrix kernel that walks each
   /// data block once while hot and accumulates into every parity row.
@@ -65,7 +67,9 @@ class RsCode {
  private:
   RsCode(int m, int n, Matrix enc) : m_(m), n_(n), encode_matrix_(std::move(enc)) {}
 
-  void encode_parity_into(uint8_t* const* dsts, size_t ss) const;
+  /// Parity shares m..n-1 into dsts (null entries skipped) from the m
+  /// systematic splits in srcs.
+  void encode_parity_into(const uint8_t* const* srcs, uint8_t* const* dsts, size_t ss) const;
 
   int m_;
   int n_;

@@ -90,12 +90,14 @@ StatusOr<ClientRequest> ClientRequest::decode(BytesView b) {
   return m;
 }
 
-Bytes ClientReply::encode() const {
-  Writer w(40 + value.size());
+Bytes ClientReply::encode() const { return encode_with_value(value); }
+
+Bytes ClientReply::encode_with_value(BytesView value_bytes) const {
+  Writer w(40 + value_bytes.size());
   w.u64(req_id);
   w.u8(static_cast<uint8_t>(code));
   w.u32(leader_hint);
-  w.bytes(value);
+  w.bytes(value_bytes);
   w.varint(routing_epoch);
   w.u32(group_hint);
   return w.take();

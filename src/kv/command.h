@@ -101,6 +101,9 @@ struct ClientReply {
   uint32_t group_hint = 0xffffffffu;  // kWrongShard: the owning group
 
   Bytes encode() const;
+  /// Encodes this reply carrying `value_bytes` in place of `value` (which is
+  /// ignored): servers answer reads straight from a stored buffer.
+  Bytes encode_with_value(BytesView value_bytes) const;
   static StatusOr<ClientReply> decode(BytesView b);
 };
 

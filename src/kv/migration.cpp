@@ -206,7 +206,7 @@ void MigrationDriver::pump() {
       uint64_t len = rec->slice_len;
       auto alive = alive_;
       kv_->replica_.recover_payload(slot, [this, alive, key, slot, off,
-                                           len](StatusOr<Bytes> r) {
+                                           len](StatusOr<SharedBytes> r) {
         if (!*alive || finished()) return;
         if (!r.is_ok() || off + len > r.value().size()) {
           arm(50 * kMillis, [this] { pump(); });  // transient; retry
@@ -214,9 +214,7 @@ void MigrationDriver::pump() {
         }
         const LocalStore::Record* cur = kv_->store_.find(key);
         if (cur != nullptr && cur->slot == slot && !cur->complete) {
-          kv_->store_.put_complete(
-              key, Bytes(r.value().data() + off, r.value().data() + off + len),
-              slot);
+          kv_->store_.put_complete(key, r.value(), slot, off, len);
         }
         pump();
       });
@@ -233,8 +231,8 @@ void MigrationDriver::pump() {
     } else {
       item.op = Op::kPut;
       item.offset = pw.size();
-      item.len = rec->data.size();
-      pw.raw(rec->data);
+      item.len = rec->slice_len;
+      pw.raw(rec->value());
     }
     bh.items.push_back(std::move(item));
   }

@@ -178,16 +178,15 @@ void KvServer::on_message(NodeId from, MsgType type, BytesView payload) {
   replica_.on_message(from, type, payload);
 }
 
-void KvServer::reply(NodeId to, uint64_t req_id, ReplyCode code, Bytes value,
+void KvServer::reply(NodeId to, uint64_t req_id, ReplyCode code, BytesView value,
                      uint32_t group_hint) {
   ClientReply rep;
   rep.req_id = req_id;
   rep.code = code;
   rep.leader_hint = replica_.leader_hint();
-  rep.value = std::move(value);
   rep.routing_epoch = routing_ != nullptr ? routing_->epoch() : 0;
   rep.group_hint = group_hint;
-  ctx_->send(to, MsgType::kClientReply, rep.encode());
+  ctx_->send(to, MsgType::kClientReply, rep.encode_with_value(value));
 }
 
 uint32_t KvServer::shard_of_key(const std::string& key) const {
@@ -386,7 +385,7 @@ void KvServer::finish_get(NodeId from, uint64_t req_id, const std::string& key) 
     return;
   }
   if (rec->complete) {
-    reply(from, req_id, ReplyCode::kOk, rec->data);
+    reply(from, req_id, ReplyCode::kOk, rec->value());
     return;
   }
   // Recovery read (§4.4): this (new) leader only has a coded share of the
@@ -398,24 +397,23 @@ void KvServer::finish_get(NodeId from, uint64_t req_id, const std::string& key) 
   uint64_t off = rec->slice_off;
   uint64_t len = rec->slice_len;
   replica_.recover_payload(slot, [this, from, req_id, key, slot, off,
-                                  len](StatusOr<Bytes> r) {
+                                  len](StatusOr<SharedBytes> r) {
     if (!r.is_ok()) {
       reply(from, req_id, ReplyCode::kRetry);
       return;
     }
-    Bytes payload = std::move(r).value();
+    SharedBytes payload = std::move(r).value();
     if (off + len > payload.size()) {
       reply(from, req_id, ReplyCode::kRetry);
       return;
     }
-    // The key's value is a slice of the (possibly batched) instance payload.
-    Bytes value(payload.begin() + static_cast<long>(off),
-                payload.begin() + static_cast<long>(off + len));
+    // The key's value is a slice of the (possibly batched) instance payload;
+    // the completed row references the decoded buffer the log caches.
     const LocalStore::Record* cur = store_.find(key);
     if (cur != nullptr && cur->slot == slot && !cur->complete) {
-      store_.put_complete(key, value, slot);
+      store_.put_complete(key, payload, slot, off, len);
     }
-    reply(from, req_id, ReplyCode::kOk, std::move(value));
+    reply(from, req_id, ReplyCode::kOk, BytesView(payload.data() + off, len));
   });
 }
 
@@ -477,11 +475,9 @@ void KvServer::apply_batch(const ApplyView& view) {
     }
     if (view.full_payload != nullptr) {
       if (item.offset + item.len > view.full_payload->size()) continue;
-      Bytes value(view.full_payload->begin() + static_cast<long>(item.offset),
-                  view.full_payload->begin() + static_cast<long>(item.offset + item.len));
-      store_.put_complete(item.key, std::move(value), view.slot);
+      store_.put_complete(item.key, *view.full_payload, view.slot, item.offset, item.len);
     } else {
-      // Follower: keep (a copy of) the instance share per touched key with
+      // Follower: every touched key references the one instance share, with
       // the key's slice coordinates; a recovery read decodes the instance
       // payload once and slices out the value.
       store_.put_share(item.key, view.share->data, view.share->value_len, view.slot,
@@ -524,18 +520,15 @@ void KvServer::maybe_publish_routing(const ApplyView& view, uint64_t off, uint64
   // machine) and publish; also complete the local row so the next client
   // refresh read served from this node (post-failover) has the full value.
   uint64_t slot = view.slot;
-  replica_.recover_payload(slot, [this, slot, off, len](StatusOr<Bytes> r) {
+  replica_.recover_payload(slot, [this, slot, off, len](StatusOr<SharedBytes> r) {
     if (!r.is_ok()) return;  // transient; the next epoch bump retries
-    const Bytes& payload = r.value();
+    const SharedBytes& payload = r.value();
     if (off + len > payload.size()) return;
     auto m = ShardMap::decode(BytesView(payload.data() + off, len));
     if (!m.is_ok()) return;
     const LocalStore::Record* cur = store_.find(kRoutingKey);
     if (cur != nullptr && cur->slot == slot && !cur->complete) {
-      store_.put_complete(kRoutingKey,
-                          Bytes(payload.begin() + static_cast<long>(off),
-                                payload.begin() + static_cast<long>(off + len)),
-                          slot);
+      store_.put_complete(kRoutingKey, payload, slot, off, len);
     }
     routing_->publish(std::move(m).value());
   });
@@ -586,7 +579,7 @@ StatusOr<Bytes> KvServer::build_state() const {
   store_.for_each([&](const std::string& key, const LocalStore::Record& rec) {
     w.str(key);
     w.varint(rec.slot);
-    w.bytes(rec.data);
+    w.bytes(rec.value());
   });
   w.varint(sealed_.size());
   for (uint32_t s : sealed_) w.varint(s);
@@ -612,12 +605,12 @@ void KvServer::install_state(BytesView image, consensus::Slot snap_slot) {
       return;
     }
     if (full) {
-      store_.put_complete(key, std::move(value), slot);
+      store_.put_complete(key, SharedBytes(std::move(value)), slot);
       ++upgraded;
     } else {
       const LocalStore::Record* rec = store_.find(key);
       if (rec != nullptr && !rec->complete && rec->slot == slot) {
-        store_.put_complete(key, std::move(value), slot);
+        store_.put_complete(key, SharedBytes(std::move(value)), slot);
         ++upgraded;
       }
     }
@@ -800,7 +793,7 @@ void KvServer::reseal_all() {
   // via recovery read, and the next write re-seals them.
   std::vector<std::pair<std::string, Bytes>> snapshot;
   store_.for_each([&](const std::string& key, const LocalStore::Record& rec) {
-    if (rec.complete) snapshot.emplace_back(key, rec.data);
+    if (rec.complete) snapshot.emplace_back(key, Bytes(rec.value().begin(), rec.value().end()));
   });
   for (auto& [key, value] : snapshot) {
     CommandHeader h;

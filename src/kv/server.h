@@ -135,7 +135,7 @@ class KvServer final : public MessageHandler {
   bool admit(NodeId from, uint64_t req_id, size_t bytes, bool replicating);
   void admission_acquire(size_t bytes);
   void admission_release(size_t bytes);
-  void reply(NodeId to, uint64_t req_id, ReplyCode code, Bytes value = {},
+  void reply(NodeId to, uint64_t req_id, ReplyCode code, BytesView value = {},
              uint32_t group_hint = kNoNode);
   /// Shard of a (non-meta) key under the current routing view; 0 without one.
   uint32_t shard_of_key(const std::string& key) const;

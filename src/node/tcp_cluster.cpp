@@ -240,9 +240,10 @@ TcpCluster::~TcpCluster() {
   // Admin servers first: their handlers read hosts and post onto loops.
   // Then detach handlers (no new proposals reach replicas, so no new EC
   // submissions), drain the EC pool while the loops still run (queued
-  // completions post onto live contexts), then join the I/O threads; only
-  // afterwards is it safe to destroy servers, WALs and stores (no delivery
-  // or completion can be in flight).
+  // completions post onto live contexts), stop the WALs (their flushers
+  // post durability callbacks onto the nodes the transport owns), then
+  // join the I/O threads; only afterwards is it safe to destroy servers,
+  // WALs and stores (no delivery or completion can be in flight).
   for (auto& a : admins_) {
     if (a) a->stop();
   }
@@ -255,6 +256,9 @@ TcpCluster::~TcpCluster() {
     if (h) h->stop();
   }
   ec_pool_.reset();
+  for (auto& w : wals_) {
+    if (w) w->stop();
+  }
   transport_.reset();
   balancers_.clear();
   hosts_.clear();

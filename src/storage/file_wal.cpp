@@ -330,6 +330,16 @@ FileWal::~FileWal() {
   ::close(fd_);
 }
 
+void FileWal::stop() {
+  drop_callbacks_.store(true);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  if (flusher_.joinable()) flusher_.join();
+}
+
 void FileWal::append(Bytes record, DurableFn cb) {
   append(0, std::move(record), std::move(cb));
 }
@@ -466,7 +476,7 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
   }
   Status st = write_ok ? Status::ok() : Status::internal("wal write/fsync failed");
   for (Pending& p : batch) {
-    if (p.cb) p.cb(st);
+    if (p.cb && !drop_callbacks_.load()) p.cb(st);
   }
 }
 
@@ -521,7 +531,9 @@ void FileWal::do_truncate(Pending t) {
   uint64_t new_seq = active_seq_.load() + 1;
   int nfd = create_segment(new_seq);
   if (nfd < 0) {
-    if (t.tcb) t.tcb(Status::internal("wal truncate: create segment failed"));
+    if (t.tcb && !drop_callbacks_.load()) {
+      t.tcb(Status::internal("wal truncate: create segment failed"));
+    }
     return;
   }
   Bytes marker = frame_marker_record(t.group, t.head);
@@ -531,7 +543,9 @@ void FileWal::do_truncate(Pending t) {
   if (wrote != marker.size() || !synced) {
     ::close(nfd);
     ::unlink(seg_file(path_, new_seq).c_str());
-    if (t.tcb) t.tcb(Status::internal("wal truncate: marker write failed"));
+    if (t.tcb && !drop_callbacks_.load()) {
+      t.tcb(Status::internal("wal truncate: marker write failed"));
+    }
     return;
   }
   // Committed. The group's reclaimed bytes are everything it had live before
@@ -562,7 +576,7 @@ void FileWal::do_truncate(Pending t) {
   wm.fsync_us->observe(std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count());
-  if (t.tcb) t.tcb(reclaimed);
+  if (t.tcb && !drop_callbacks_.load()) t.tcb(reclaimed);
 }
 
 void FileWal::reclaim_segments() {

@@ -63,6 +63,14 @@ class FileWal final : public Wal, public MuxWal {
       size_t segment_bytes = kDefaultSegmentBytes, uint32_t num_groups = 1);
   ~FileWal() override;
 
+  /// Quiesces the log before its callers' contexts go away: records already
+  /// staged still reach the disk, but from now on no completion callback
+  /// fires, and the flusher thread is joined before this returns. Later
+  /// appends are dropped unflushed. The destructor alone also drains, but
+  /// still completes callbacks — owners whose callbacks capture shorter-lived
+  /// objects (TcpCluster: the transport's nodes) must stop() first.
+  void stop();
+
   // Wal interface: the log viewed as group 0 (the historical single-group
   // callers), with whole-file counters.
   void append(Bytes record, DurableFn cb) override;
@@ -139,6 +147,7 @@ class FileWal final : public Wal, public MuxWal {
   std::condition_variable cv_;
   std::deque<Pending> staged_;
   bool stopping_ = false;
+  std::atomic<bool> drop_callbacks_{false};  // set by stop()
 
   // Flush-latency observer: written at assembly time, read by the flusher.
   std::mutex observer_mu_;

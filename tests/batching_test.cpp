@@ -114,6 +114,42 @@ TEST(Batching, FollowersTrackSlices) {
   }
 }
 
+TEST(Batching, FollowerRowsOfOneBatchShareOneShareBuffer) {
+  BatchFixture f(20 * kMillis);
+  constexpr int kItems = 64;  // KvServerOptions::batch_max_count: one instance
+  constexpr size_t kLen = 300;
+  int done = 0;
+  for (int i = 0; i < kItems; ++i) {
+    f.client->put("fb" + std::to_string(i), Bytes(kLen, static_cast<uint8_t>(i)),
+                  [&](Status s) {
+                    EXPECT_TRUE(s.is_ok());
+                    done++;
+                  });
+  }
+  ASSERT_TRUE(f.run_until([&] { return done == kItems; }));
+  f.world.run_for(300 * kMillis);
+  int leader = f.cluster.leader_server_of(0);
+  ASSERT_GE(leader, 0);
+  // θ(3,5): one follower share is a third of the instance payload.
+  const uint64_t share = (kItems * kLen + 2) / 3;
+  for (int s = 0; s < 5; ++s) {
+    if (s == leader) continue;
+    const LocalStore& store = f.cluster.server(s, 0)->store();
+    const LocalStore::Record* first = store.find("fb0");
+    ASSERT_NE(first, nullptr) << "server " << s;
+    for (int i = 1; i < kItems; ++i) {
+      const LocalStore::Record* rec = store.find("fb" + std::to_string(i));
+      ASSERT_NE(rec, nullptr) << "server " << s << " key " << i;
+      EXPECT_EQ(rec->slot, first->slot) << "writes did not share one instance";
+      EXPECT_EQ(rec->data.id(), first->data.id()) << "server " << s << " key " << i;
+    }
+    // Every row references the one instance share: about one share
+    // resident, not one per key.
+    EXPECT_GE(store.resident_bytes(), share) << "server " << s;
+    EXPECT_LT(store.resident_bytes(), 2 * share) << "server " << s;
+  }
+}
+
 TEST(Batching, RecoveryReadSlicesOneKeyOutOfTheBatch) {
   BatchFixture f;
   int done = 0;

@@ -136,6 +136,36 @@ TEST(EcPolicy, EncodeVariantsAgree) {
   }
 }
 
+TEST(EcPolicy, EncodeIntoSkipsNullDestinations) {
+  // A null dsts[i] skips share i; every other share must still come out
+  // byte-identical — including parity built from a skipped systematic split
+  // (the proposer skips its own share in full-copy mode, x == 1 under rs).
+  Rng rng(74);
+  std::vector<Geometry> geoms(std::begin(kGeometries), std::end(kGeometries));
+  geoms.push_back({CodeId::kRs, 1, 3});
+  for (const Geometry& g : geoms) {
+    const EcPolicy& p = PolicyCache::get(g.code, g.x, g.n);
+    for (size_t len : {size_t{1}, size_t{257}, size_t{40000}}) {
+      const Bytes value = random_value(&rng, len);
+      const std::vector<Bytes> shares = p.encode(value);
+      const size_t ss = p.share_size(len);
+      for (int skip = 0; skip < g.n; ++skip) {
+        std::vector<Bytes> into(static_cast<size_t>(g.n), Bytes(ss, 0xAA));
+        std::vector<uint8_t*> dsts;
+        for (auto& b : into) dsts.push_back(b.data());
+        dsts[static_cast<size_t>(skip)] = nullptr;
+        p.encode_into(value, dsts.data());
+        for (int i = 0; i < g.n; ++i) {
+          const Bytes& want = i == skip ? Bytes(ss, 0xAA) : shares[static_cast<size_t>(i)];
+          EXPECT_EQ(into[static_cast<size_t>(i)], want)
+              << ec::to_string(g.code) << " x=" << g.x << " n=" << g.n << " len=" << len
+              << " skip=" << skip << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(EcPolicy, RsPolicyByteIdenticalToRsCode) {
   Rng rng(73);
   for (auto [x, n] : {std::pair{2, 4}, std::pair{3, 5}, std::pair{4, 10}}) {

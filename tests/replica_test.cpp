@@ -309,14 +309,14 @@ TEST(Replica, RecoverPayloadDecodesFromFollowers) {
     if (!h->replica->is_leader()) follower = h.get();
   }
   ASSERT_NE(follower, nullptr);
-  std::optional<Bytes> got;
-  follower->replica->recover_payload(*slot, [&](StatusOr<Bytes> r) {
+  std::optional<SharedBytes> got;
+  follower->replica->recover_payload(*slot, [&](StatusOr<SharedBytes> r) {
     ASSERT_TRUE(r.is_ok());
     got = std::move(r).value();
   });
   c.world.run_for(1 * kSeconds);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, value);
+  EXPECT_EQ(*got, SharedBytes(value));
 }
 
 TEST(Replica, CodedModeSendsLessDataThanFullCopy) {

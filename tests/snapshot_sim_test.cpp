@@ -72,7 +72,7 @@ std::map<std::string, Bytes> leader_state(SnapFixture& f) {
   std::map<std::string, Bytes> out;
   f.cluster.server(l, 0)->store().for_each(
       [&](const std::string& k, const LocalStore::Record& r) {
-        if (r.complete) out[k] = r.data;
+        if (r.complete) out[k] = Bytes(r.value().begin(), r.value().end());
       });
   return out;
 }
