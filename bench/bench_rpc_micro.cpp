@@ -1,7 +1,7 @@
 // RPC/marshalling microbenchmarks (google-benchmark), sanity-matching §5's
 // claim that the messaging substrate sustains ~1M small batched ops/s:
-// message encode/decode, CRC32C framing, and in-process transport round
-// trips. main() additionally runs a frame-size sweep over the real epoll TCP
+// message encode/decode, CRC32C framing and the client's outstanding-request
+// table. main() additionally runs a frame-size sweep over the real epoll TCP
 // transport against a blocking-socket reference sender (the pre-epoll send
 // path: one shared connection, a mutex, two write() syscalls per frame) and
 // writes BENCH_rpc.json.
@@ -24,7 +24,6 @@
 
 #include "consensus/msg.h"
 #include "net/frame.h"
-#include "net/local_transport.h"
 #include "net/tcp_transport.h"
 #include "util/crc32.h"
 #include "util/event_loop.h"
@@ -137,59 +136,6 @@ void BM_OutstandingSlabMap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OutstandingSlabMap)->Arg(16)->Arg(256)->Arg(4096);
-
-// §5: "over 1 million batched ADD operations in 1 second between two
-// servers": measures small-message dispatch rate through the in-process
-// transport (batched: many messages in flight at once).
-void BM_LocalTransportSmallMessages(benchmark::State& state) {
-  net::LocalTransport transport;
-  struct Counter final : MessageHandler {
-    std::atomic<uint64_t> n{0};
-    void on_message(NodeId, MsgType, BytesView) override {
-      n.fetch_add(1, std::memory_order_relaxed);
-    }
-  } counter;
-  transport.node(2)->set_handler(&counter);
-  net::LocalNode* sender = transport.node(1);
-  constexpr int kBatch = 1024;
-  for (auto _ : state) {
-    uint64_t before = counter.n.load();
-    for (int i = 0; i < kBatch; ++i) {
-      sender->send(2, MsgType::kTestPing, Bytes{1, 2, 3, 4});
-    }
-    while (counter.n.load() < before + kBatch) {
-      std::this_thread::yield();
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_LocalTransportSmallMessages)->Unit(benchmark::kMillisecond);
-
-void BM_LocalTransportRoundTrip(benchmark::State& state) {
-  net::LocalTransport transport;
-  struct Echo final : MessageHandler {
-    net::LocalNode* self;
-    void on_message(NodeId from, MsgType, BytesView p) override {
-      self->send(from, MsgType::kTestPong, Bytes(p.begin(), p.end()));
-    }
-  } echo;
-  echo.self = transport.node(2);
-  transport.node(2)->set_handler(&echo);
-
-  struct Waiter final : MessageHandler {
-    std::atomic<uint64_t> n{0};
-    void on_message(NodeId, MsgType, BytesView) override { n.fetch_add(1); }
-  } waiter;
-  transport.node(1)->set_handler(&waiter);
-
-  for (auto _ : state) {
-    uint64_t before = waiter.n.load();
-    transport.node(1)->send(2, MsgType::kTestPing, Bytes{9});
-    while (waiter.n.load() == before) std::this_thread::yield();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LocalTransportRoundTrip)->Unit(benchmark::kMicrosecond);
 
 // --- BENCH_rpc.json sweep: blocking reference vs epoll transport ----------
 

@@ -22,7 +22,6 @@
 // util::Histogram via load::LatencyRecorder, never ad-hoc sorted-vector math.
 #include "load/latency_recorder.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "util/histogram.h"
 #include "util/io_driver.h"
@@ -233,9 +232,6 @@ class WorkloadDriver {
 struct BenchCluster {
   std::unique_ptr<sim::SimWorld> world;
   std::unique_ptr<kv::SimCluster> cluster;
-  // Declared after `cluster` so it is destroyed FIRST: the reporter's timer
-  // lives on a cluster node context and must be cancelled before it dies.
-  std::unique_ptr<obs::StatsReporter> reporter;
 
   BenchCluster(bool rs_mode, const Env& env, const DiskKind& disk, int num_groups = 1,
                uint64_t seed = 17) {
@@ -251,12 +247,6 @@ struct BenchCluster {
     opts.wal_retain = false;  // no restarts in measurement runs
     cluster = std::make_unique<kv::SimCluster>(world.get(), opts);
     cluster->wait_for_leaders();
-    // Periodic registry snapshots in sim time; the cached text doubles as a
-    // liveness probe for the metrics pipeline.
-    reporter = std::make_unique<obs::StatsReporter>(
-        cluster->network().node(kv::endpoint_id(0, 0)), &obs::MetricsRegistry::global(),
-        1 * kSeconds);
-    reporter->start();
   }
 };
 

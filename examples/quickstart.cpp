@@ -8,7 +8,6 @@
 
 #include "kv/cluster.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 
 using namespace rspaxos;
@@ -30,12 +29,6 @@ uint64_t run_demo(bool rs_mode) {
   opts.f = 1;
   kv::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
-
-  // Periodic metrics snapshots on a node's sim-time event loop (every 100 ms
-  // of sim time); the cached Prometheus text is scraped at the end of main().
-  obs::StatsReporter reporter(cluster.network().node(kv::endpoint_id(0, 0)),
-                              &obs::MetricsRegistry::global(), 100 * kMillis);
-  reporter.start();
 
   auto client = cluster.make_client(0);
 
@@ -83,15 +76,12 @@ uint64_t run_demo(bool rs_mode) {
   });
   run_until(world, [&] { return done; });
 
-  // Idle for half a second of sim time so heartbeats and the periodic
-  // reporter visibly run.
+  // Idle for half a second of sim time so heartbeats visibly run.
   world.run_for(500 * kMillis);
 
-  std::printf("  network bytes: %llu, flushed bytes: %llu (reporter ticks: %llu)\n",
+  std::printf("  network bytes: %llu, flushed bytes: %llu\n",
               static_cast<unsigned long long>(cluster.total_network_bytes()),
-              static_cast<unsigned long long>(cluster.total_flushed_bytes()),
-              static_cast<unsigned long long>(reporter.snapshots_taken()));
-  reporter.stop();
+              static_cast<unsigned long long>(cluster.total_flushed_bytes()));
   return cluster.total_network_bytes();
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep: the tier-1 suite plus every sanitizer preset.
 #
-#   scripts/check.sh            # tier-1 (default preset, all tests)
+#   scripts/check.sh            # tier-1 (default preset, all tests), then
+#                               # builds (never runs) the benchmark in
+#                               # perfbench/ into build-perfbench/
 #   scripts/check.sh --fast     # tier-1 minus the `slow`-labeled socket suites
 #   scripts/check.sh --san      # tier-1 + asan/tsan/ubsan preset suites
 #   scripts/check.sh --obs      # observability loop only: metrics/trace/admin
@@ -184,6 +186,11 @@ if [[ "$FAST" == 1 ]]; then
   run_preset default -LE slow
 else
   run_preset default
+  # perfbench/ compiles against src/ but is its own CMake project: build it
+  # (without running it) so a change that breaks its API fails here.
+  echo "=== [perfbench] configure + build ==="
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-perfbench -j "$JOBS" --target repo_bench
 fi
 
 if [[ "$SAN" == 1 ]]; then

@@ -453,7 +453,7 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
     dsts[static_cast<size_t>(idx)] = frames[static_cast<size_t>(idx)].data() + gap;
   }
 
-  if (opts_.ec_pool != nullptr && payload.size() >= opts_.ec_async_min_bytes) {
+  if (opts_.ec_pool != nullptr && payload.size() >= kEcAsyncMinBytes) {
     // Large value: run the GF(2^8) matrix work on the worker pool. The job
     // owns every buffer the codec touches; the reactor installs nothing for
     // this slot until the completion re-validates leadership, so a campaign

@@ -77,29 +77,25 @@ struct ReplicaOptions {
   /// prefix below the barrier. 0 disables checkpointing. Requires a
   /// SnapshotStore and state hooks (set_snapshot_store / set_state_hooks).
   uint64_t checkpoint_interval_slots = 0;
-  /// Fragment transfer chunk size for offers / installs. Must stay well under
-  /// the transport frame bound (64 MiB); 1 MiB keeps head-of-line blocking of
-  /// consensus traffic negligible.
-  size_t snapshot_chunk_bytes = 1u << 20;
   /// Paxos group (shard) this replica belongs to, used as the `group` metric
   /// label so per-shard series stay distinguishable when one process hosts
   /// many groups. Purely observational — routing derives the group from the
   /// endpoint id (net/routing.h).
   uint32_t group_id = 0;
-  /// When set, θ(X,N) encoding of payloads >= ec_async_min_bytes runs on this
+  /// When set, θ(X,N) encoding of payloads >= kEcAsyncMinBytes runs on this
   /// worker pool instead of the reactor thread; the completion is posted back
   /// via the NodeContext so large-value proposals no longer stall other
   /// groups sharing the reactor. The pool must outlive the replica. Null
   /// (and the single-threaded simulator) keeps the historical inline encode.
   ec::EcWorkerPool* ec_pool = nullptr;
-  size_t ec_async_min_bytes = 64u << 10;
-  /// Relative per-byte cost of fetching shares from each peer (missing peers
-  /// cost 1.0; the local replica is always free). Repair planning — targeted
-  /// recovery reads, catch-up share repair, InstallSnapshot fragment pulls —
-  /// feeds these into EcPolicy::plan_repair so cross-AZ/cross-rack peers are
-  /// avoided when a cheaper decodable set exists.
-  std::map<NodeId, double> peer_costs;
 };
+
+/// Smallest payload ReplicaOptions::ec_pool encodes off the reactor thread.
+inline constexpr size_t kEcAsyncMinBytes = 64u << 10;
+/// Snapshot fragment transfer chunk for offers / installs: well under the
+/// transport frame bound (64 MiB), small enough that head-of-line blocking of
+/// consensus traffic stays negligible.
+inline constexpr size_t kSnapshotChunkBytes = 1u << 20;
 
 /// A committed log entry as handed to the state machine. Followers usually
 /// see only their own coded share (full_payload null) — the KV layer tags
@@ -379,8 +375,8 @@ class Replica final : public MessageHandler {
   bool absorb_repair_rep(const FetchShareRepMsg& msg);
   void finish_share_repair(Slot slot);
   void abort_share_repair(Slot slot);
-  /// Per-share relative fetch cost derived from ReplicaOptions::peer_costs
-  /// (self = 0, unknown peers = 1).
+  /// Per-share relative fetch cost for repair planning: 0 for the local
+  /// share, 1.0 for every peer's.
   std::vector<double> share_costs() const;
   void apply_config_entry(const LogEntry& e, Slot slot);
 
@@ -411,7 +407,6 @@ class Replica final : public MessageHandler {
   /// commits; `then` (optional) fires after, with the save status.
   void save_own_fragment(snapshot::SnapshotManifest man, Bytes frag,
                          std::function<void(Status)> then = nullptr);
-  size_t snapshot_chunk_limit() const;
 
   // --- persistence ---
   void persist_meta(std::function<void()> then);

@@ -66,15 +66,8 @@ void Replica::on_catchup_req(NodeId from, CatchupReqMsg msg) {
 
 std::vector<double> Replica::share_costs() const {
   std::vector<double> cost(static_cast<size_t>(cfg_.n()), 1.0);
-  for (int i = 0; i < cfg_.n(); ++i) {
-    NodeId m = cfg_.members[static_cast<size_t>(i)];
-    if (m == ctx_->id()) {
-      cost[static_cast<size_t>(i)] = 0.0;  // local share is free
-      continue;
-    }
-    auto it = opts_.peer_costs.find(m);
-    if (it != opts_.peer_costs.end()) cost[static_cast<size_t>(i)] = it->second;
-  }
+  int self = cfg_.index_of(ctx_->id());
+  if (self >= 0) cost[static_cast<size_t>(self)] = 0.0;  // local share is free
   return cost;
 }
 
@@ -201,10 +194,10 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
   req.epoch = cfg_.epoch;
   req.slot = slot;
   Bytes enc = req.encode();
-  // First pass: fetch only the cheapest decodable set the policy plans
-  // (cost-aware via ReplicaOptions::peer_costs). Widen to the historical
-  // full-membership broadcast once a retry fires, or whenever the plan
-  // cannot be mapped onto the current membership.
+  // First pass: fetch only the cheapest decodable set the policy plans (the
+  // local share is free, every peer's costs the same). Widen to the
+  // historical full-membership broadcast once a retry fires, or whenever the
+  // plan cannot be mapped onto the current membership.
   bool targeted = false;
   if (!rec.widened && rec.vid_known && static_cast<int>(rec.n) == cfg_.n()) {
     auto pol = ec::PolicyCache::get_checked(static_cast<uint8_t>(rec.code),

@@ -6,7 +6,6 @@
 
 #include "consensus/replica.h"
 #include "consensus/replica_internal.h"
-#include "net/frame.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -18,13 +17,6 @@ namespace rspaxos::consensus {
 // replaced by a marker record. A lagging replica whose gap predates every
 // log reconstructs the image from any X distinct fragments (InstallSnapshot).
 // ---------------------------------------------------------------------------
-
-size_t Replica::snapshot_chunk_limit() const {
-  // Stay well under the transport frame bound: the reply also carries the
-  // manifest and framing overhead.
-  size_t cap = net::kMaxFrameBytes / 4;
-  return std::max<size_t>(1, std::min(opts_.snapshot_chunk_bytes, cap));
-}
 
 void Replica::maybe_checkpoint() {
   if (role_ != Role::kLeader || snap_store_ == nullptr || !build_state_) return;
@@ -267,7 +259,7 @@ void Replica::on_snapshot_fetch_req(NodeId from, SnapshotFetchReqMsg msg) {
   rep.offset = msg.offset;
   rep.manifest = man->encode();
   if (msg.offset < frag->size()) {
-    size_t chunk = std::min(snapshot_chunk_limit(), frag->size() - msg.offset);
+    size_t chunk = std::min(kSnapshotChunkBytes, frag->size() - msg.offset);
     rep.data.assign(frag->begin() + static_cast<ptrdiff_t>(msg.offset),
                     frag->begin() + static_cast<ptrdiff_t>(msg.offset + chunk));
   } else if (ckpt_.has_value() && man->checkpoint_id == ckpt_->id) {

@@ -30,7 +30,7 @@ size_t shard_of(const std::string& key, size_t num_shards) {
 
 KvClient::KvClient(NodeContext* ctx, RoutingTable routing, Options opts)
     : ctx_(ctx), routing_(std::move(routing)), opts_(opts),
-      wheel_(static_cast<int64_t>(opts.timer_tick > 0 ? opts.timer_tick : 1)),
+      wheel_(static_cast<int64_t>(kTimerTick)),
       backoff_rng_(0x5a7f00d5ull ^ (static_cast<uint64_t>(ctx->id()) << 17)) {
   if (routing_.map.num_shards() == 0) {
     // Table built with membership only: default to the epoch-0 one-shard-
@@ -171,7 +171,7 @@ void KvClient::schedule_event(uint64_t req_id, Outstanding& o, DurationMicros de
 
 void KvClient::arm_tick() {
   if (tick_timer_ != 0 || wheel_.empty()) return;
-  tick_timer_ = ctx_->set_timer(opts_.timer_tick, [this] { on_tick(); });
+  tick_timer_ = ctx_->set_timer(kTimerTick, [this] { on_tick(); });
 }
 
 void KvClient::on_tick() {
@@ -324,12 +324,9 @@ void KvClient::on_message(NodeId from, MsgType type, BytesView payload) {
       overload_counter_->inc();
       int exp = o->overloads < 7 ? o->overloads : 7;
       o->overloads++;
-      uint64_t base = static_cast<uint64_t>(opts_.overload_backoff_base) << exp;
-      if (base > static_cast<uint64_t>(opts_.overload_backoff_max)) {
-        base = static_cast<uint64_t>(opts_.overload_backoff_max);
-      }
+      uint64_t base = static_cast<uint64_t>(kOverloadBackoffBase) << exp;
       // Jitter to [0.5x, 1.5x).
-      uint64_t delay = base / 2 + backoff_rng_.next_below(base > 0 ? base : 1);
+      uint64_t delay = base / 2 + backoff_rng_.next_below(base);
       schedule_event(rep.req_id, *o, static_cast<DurationMicros>(delay),
                      OpState::kWaitRetry);
       return;

@@ -88,13 +88,14 @@ class KvClient final : public MessageHandler {
     /// In-flight window: ops dispatched (or awaiting a scheduled retry)
     /// simultaneously. Submissions beyond it queue client-side in order.
     size_t max_inflight = 256;
-    /// Timing-wheel sweep granularity — the error bound on every per-op
-    /// deadline. One loop timer fires per tick while any op is outstanding.
-    DurationMicros timer_tick = 5 * kMillis;
-    /// kOverloaded backoff: base * 2^n jittered to [0.5x, 1.5x), capped.
-    DurationMicros overload_backoff_base = 5 * kMillis;
-    DurationMicros overload_backoff_max = 640 * kMillis;
   };
+
+  /// Timing-wheel sweep granularity — the error bound on every per-op
+  /// deadline. One loop timer fires per tick while any op is outstanding.
+  static constexpr DurationMicros kTimerTick = 5 * kMillis;
+  /// kOverloaded backoff: kOverloadBackoffBase * 2^n for the n-th overload
+  /// of an op, n capped at 7 (640 ms), jittered to [0.5x, 1.5x).
+  static constexpr DurationMicros kOverloadBackoffBase = 5 * kMillis;
 
   struct Stats {
     uint64_t completed = 0;          // ops finished ok / not-found

@@ -58,7 +58,7 @@ struct SimClusterOptions {
   /// Erasure-code policy for every group (rs_mode only). Non-rs codes must
   /// keep the quorum equation feasible for the derived θ(X,N) — hh is MDS
   /// and always qualifies; lrc only when its any-subset-decodable fits the
-  /// quorums (GroupConfig::validate enforces it; construction asserts).
+  /// quorums (node::cluster_group_config checks; construction asserts).
   ec::CodeId code = ec::CodeId::kRs;
   sim::LinkParams link = sim::LinkParams::lan();
   sim::DiskParams disk = sim::DiskParams::ssd();
@@ -74,7 +74,6 @@ struct SimClusterOptions {
   /// Health watchdog configuration forwarded to every NodeHost. Probes run
   /// on sim timers, so lag values stay deterministic.
   obs::HealthOptions health;
-  bool watchdog = true;
   /// Start a per-server admin HTTP endpoint (real socket over the simulated
   /// cluster). Handlers only read thread-safe state — the global registry,
   /// the tracer, and boards published by sim-time probes — never live
@@ -153,7 +152,6 @@ class SimCluster {
     return static_cast<size_t>(s) * static_cast<size_t>(opts_.reactors) +
            static_cast<size_t>(r);
   }
-  consensus::GroupConfig group_config(int group) const;
   void build_host(int s, bool initial);
   void start_admin(int s);
 

@@ -120,7 +120,7 @@ bool KvServer::admit(NodeId from, uint64_t req_id, size_t bytes, bool replicatin
       return false;
     }
   }
-  if (a.shed_on_health && health_ != nullptr && health_->overloaded()) {
+  if (health_ != nullptr && health_->overloaded()) {
     m_.shed_health.inc();
     reply(from, req_id, ReplyCode::kOverloaded);
     return false;
@@ -303,8 +303,7 @@ void KvServer::enqueue_batch(NodeId from, uint64_t req_id, Op op, std::string ke
   batch_.payload.insert(batch_.payload.end(), value.begin(), value.end());
   batch_.waiters.push_back(BatchWaiter{from, req_id, shard});
 
-  if (batch_.payload.size() >= kv_opts_.batch_max_bytes ||
-      batch_.items.size() >= kv_opts_.batch_max_count) {
+  if (batch_.payload.size() >= kBatchMaxBytes || batch_.items.size() >= kBatchMaxCount) {
     flush_batch();
     return;
   }

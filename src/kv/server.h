@@ -50,9 +50,8 @@ struct KvAdmissionOptions {
   /// the batch accumulator and proposed-but-uncommitted instances).
   /// 0 = unlimited.
   size_t max_queue_bytes = 0;
-  /// Also shed while the host HealthMonitor reports overload (loop lag /
-  /// WAL fsync p99 past its watermarks — see obs::HealthOptions).
-  bool shed_on_health = true;
+  // Every request is also shed while the host HealthMonitor reports overload
+  // (loop lag p99 past its watermark — see obs::HealthOptions).
 };
 
 /// Server-side behaviour knobs.
@@ -60,10 +59,9 @@ struct KvServerOptions {
   /// Write batching (§7's IO/RPC batching applied at the instance level):
   /// writes arriving within the window are committed as ONE composite
   /// RS-Paxos instance — one quorum round trip and one WAL record for the
-  /// whole batch. 0 disables batching (every write is its own instance).
+  /// whole batch. 0 disables batching (every write is its own instance). A
+  /// batch also closes early at KvServer::kBatchMaxBytes / kBatchMaxCount.
   DurationMicros batch_window = 0;
-  size_t batch_max_bytes = 4 << 20;
-  size_t batch_max_count = 64;
   KvAdmissionOptions admission;
   /// Reactor hosting this group (label on the rsp_admission_* series).
   /// NodeHost fills it from its placement; standalone servers leave 0.
@@ -72,6 +70,11 @@ struct KvServerOptions {
 
 class KvServer final : public MessageHandler {
  public:
+  /// A write batch is proposed as soon as it holds this many value bytes or
+  /// this many writes, without waiting out KvServerOptions::batch_window.
+  static constexpr size_t kBatchMaxBytes = 4 << 20;
+  static constexpr size_t kBatchMaxCount = 64;
+
   /// `snap` (optional) is the durable home of this node's checkpoint
   /// fragment; passing one enables erasure-coded checkpointing and snapshot
   /// install (see ReplicaOptions::checkpoint_interval_slots).
@@ -84,7 +87,7 @@ class KvServer final : public MessageHandler {
   void on_message(NodeId from, MsgType type, BytesView payload) override;
 
   /// Feeds the host health watchdog's overload verdict into admission
-  /// control (see KvAdmissionOptions::shed_on_health). Set before start();
+  /// control: while it holds, every request is shed. Set before start();
   /// the monitor must outlive this server's message processing.
   void set_health(const obs::HealthMonitor* health) { health_ = health; }
 

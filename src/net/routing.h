@@ -1,4 +1,4 @@
-// Composite-NodeId routing contract shared by sim, LocalTransport and TCP.
+// Composite-NodeId routing contract shared by the sim and TCP transports.
 //
 // One physical machine ("host") serves every Paxos group, so a transport
 // endpoint is identified by a composite NodeId:

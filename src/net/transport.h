@@ -3,7 +3,6 @@
 // Protocol code (consensus, KV) is written against NodeContext only, so the
 // exact same replica code runs over:
 //   - sim::SimWorld        — deterministic discrete-event simulation,
-//   - net::LocalTransport  — real threads + in-process queues,
 //   - net::TcpTransport    — real sockets over localhost/LAN.
 //
 // The model matches the paper's partial-asynchronous assumption (§3.1):

@@ -62,12 +62,10 @@ void NodeHost::start() {
   // Monitors are built before the per-group servers so their overload
   // verdicts (health watermarks -> admission control) can be fed to every
   // KvServer of their reactor; probes only arm at the end of start().
-  if (opts_.watchdog) {
-    health_.resize(R);
-    for (uint32_t r = 0; r < R; ++r) {
-      health_[r] = std::make_unique<obs::HealthMonitor>(static_cast<uint32_t>(server_),
-                                                        opts_.health, r);
-    }
+  health_.resize(R);
+  for (uint32_t r = 0; r < R; ++r) {
+    health_[r] = std::make_unique<obs::HealthMonitor>(static_cast<uint32_t>(server_),
+                                                      opts_.health, r);
   }
   endpoints_.resize(num_groups_, nullptr);
   servers_.resize(num_groups_);
@@ -86,7 +84,7 @@ void NodeHost::start() {
                                                  ropts, kv_opts,
                                                  snap_fn_ ? snap_fn_(g) : nullptr);
     kv::KvServer* srv = servers_[g].get();
-    if (!health_.empty()) srv->set_health(health_[r].get());
+    srv->set_health(health_[r].get());
     srv->set_routing(routing_.get());
     srv->set_shard_write_hook([this](uint32_t shard) {
       if (shard < num_shards_) {
@@ -104,40 +102,32 @@ void NodeHost::start() {
     }
   }
 
-  if (!health_.empty()) {
-    for (uint32_t r = 0; r < R; ++r) {
-      if (queue_samplers_[r]) health_[r]->set_queue_sampler(queue_samplers_[r]);
-      // Each probe republishes its reactor's board slice so any-thread
-      // readers (the admin server) always have a recent document even if a
-      // loop later wedges.
-      health_[r]->set_on_probe([this, r] { refresh_board(r); });
-      // The flusher pushes fsync latencies in from its own thread; the
-      // monitor outlives traffic (reset in stop()).
-      wals_[r]->set_flush_observer(
-          [h = health_[r].get()](int64_t us) { h->record_fsync(us); });
-      // Group r is the first group of reactor r: its endpoint runs on that
-      // reactor's loop.
-      NodeContext* ctxr = endpoints_[r];
-      obs::HealthMonitor* hm = health_[r].get();
-      auto arm = [hm, ctxr] { hm->start(ctxr); };
-      if (post_fn_) {
-        post_fn_(ctxr, std::move(arm));
-      } else {
-        arm();
-      }
+  for (uint32_t r = 0; r < R; ++r) {
+    if (queue_samplers_[r]) health_[r]->set_queue_sampler(queue_samplers_[r]);
+    // Each probe republishes its reactor's board slice so any-thread
+    // readers (the admin server) always have a recent document even if a
+    // loop later wedges.
+    health_[r]->set_on_probe([this, r] { refresh_board(r); });
+    // The flusher pushes fsync latencies in from its own thread; the
+    // monitor outlives traffic (reset in stop()).
+    wals_[r]->set_flush_observer(
+        [h = health_[r].get()](int64_t us) { h->record_fsync(us); });
+    // Group r is the first group of reactor r: its endpoint runs on that
+    // reactor's loop.
+    NodeContext* ctxr = endpoints_[r];
+    obs::HealthMonitor* hm = health_[r].get();
+    auto arm = [hm, ctxr] { hm->start(ctxr); };
+    if (post_fn_) {
+      post_fn_(ctxr, std::move(arm));
+    } else {
+      arm();
     }
   }
 }
 
 void NodeHost::stop() {
-  if (!health_.empty()) {
-    for (auto& h : health_) {
-      if (h) h->stop();
-    }
-    for (storage::MuxWal* w : wals_) {
-      if (w != nullptr) w->set_flush_observer(nullptr);
-    }
-  }
+  for (auto& h : health_) h->stop();
+  for (storage::MuxWal* w : wals_) w->set_flush_observer(nullptr);
   for (NodeContext* ctx : endpoints_) {
     if (ctx != nullptr) ctx->set_handler(nullptr);
   }
@@ -181,8 +171,7 @@ void NodeHost::refresh_board(uint32_t reactor) {
   {
     std::string w = "{";
     w += "\"reactor\":" + std::to_string(reactor);
-    w += ",\"machine_bytes_flushed\":" +
-         std::to_string(wals_[reactor]->machine_bytes_flushed());
+    w += ",\"bytes_flushed\":" + std::to_string(wals_[reactor]->bytes_flushed());
     w += ",\"flush_ops\":" + std::to_string(wals_[reactor]->flush_ops());
     w += ",\"first_segment\":" + std::to_string(wals_[reactor]->first_segment());
     w += ",\"active_segment\":" + std::to_string(wals_[reactor]->active_segment());
@@ -227,11 +216,11 @@ std::string NodeHost::compose_board_locked() const {
   uint64_t total_bytes = 0;
   uint64_t total_ops = 0;
   for (storage::MuxWal* w : wals_) {
-    total_bytes += w->machine_bytes_flushed();
+    total_bytes += w->bytes_flushed();
     total_ops += w->flush_ops();
   }
   out += ",\"wal\":{";
-  out += "\"machine_bytes_flushed\":" + std::to_string(total_bytes);
+  out += "\"bytes_flushed\":" + std::to_string(total_bytes);
   out += ",\"flush_ops\":" + std::to_string(total_ops);
   out += "}";
   out += ",\"wals\":[";

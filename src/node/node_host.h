@@ -49,7 +49,6 @@ struct NodeHostOptions {
   /// reactor, running on that reactor's first endpoint; each probe
   /// republishes the machine status board.
   obs::HealthOptions health;
-  bool watchdog = true;
   /// Key-space shards for elastic resharding (DESIGN.md §14). 0 = one shard
   /// per group (the historical frozen shard==group contract, as epoch 0 of a
   /// live routing table). More shards than groups gives migrations something
@@ -123,7 +122,7 @@ class NodeHost {
     set_queue_sampler(0, std::move(fn));
   }
 
-  /// nullptr when watchdog is disabled or before start().
+  /// nullptr before start().
   obs::HealthMonitor* health(uint32_t reactor = 0) {
     return reactor < health_.size() ? health_[reactor].get() : nullptr;
   }
@@ -141,7 +140,7 @@ class NodeHost {
   std::string status_snapshot() const;
   /// Machine health summary: worst reactor wins — status is "stalled" if ANY
   /// reactor's watchdog says so — with every reactor's detail inlined. Any
-  /// thread. "{}" when the watchdog is disabled.
+  /// thread. "{}" before start().
   std::string healthz_json() const;
   /// True when any reactor's watchdog currently judges its loop stalled.
   bool stalled() const;

@@ -5,17 +5,19 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "node/cluster_config.h"
 #include "util/logging.h"
 
 namespace rspaxos::kv {
 
-using consensus::GroupConfig;
-
 SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
     : world_(world), opts_(opts), network_(world) {
   assert(opts_.num_servers >= 1 && opts_.num_groups >= 1);
+  // Misconfigured geometry (too few servers for f, or e.g. lrc whose
+  // any-subset-decodable exceeds a quorum) is a test-author error; fail
+  // loudly. Every group has the same geometry.
+  assert(node::cluster_group_config(opts_.num_servers, 0, opts_.rs_mode, opts_.f, opts_.code)
+             .is_ok());
   opts_.reactors = std::max(1, std::min(opts_.reactors, opts_.num_groups));
   const int R = opts_.reactors;
   network_.set_default_link(opts_.link);
@@ -49,31 +51,11 @@ SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
   }
 }
 
-GroupConfig SimCluster::group_config(int group) const {
-  std::vector<NodeId> members;
-  members.reserve(static_cast<size_t>(opts_.num_servers));
-  for (int s = 0; s < opts_.num_servers; ++s) members.push_back(endpoint_id(s, group));
-  if (opts_.rs_mode) {
-    auto cfg = GroupConfig::rs_max_x(std::move(members), opts_.f);
-    assert(cfg.is_ok());
-    GroupConfig c = std::move(cfg).value();
-    if (opts_.code != ec::CodeId::kRs) {
-      c.code = opts_.code;
-      // Misconfigured geometry (e.g. lrc whose any-subset-decodable exceeds
-      // a quorum) is a test-author error; fail loudly.
-      assert(c.validate().is_ok());
-    }
-    return c;
-  }
-  return GroupConfig::majority(std::move(members));
-}
-
 void SimCluster::build_host(int s, bool initial) {
   node::NodeHostOptions hopts;
   hopts.replica = opts_.replica;
   hopts.kv = opts_.kv;
   hopts.health = opts_.health;
-  hopts.watchdog = opts_.watchdog;
   hopts.num_shards = static_cast<uint32_t>(std::max(0, opts_.num_shards));
   node::NodeHost::BootstrapFn boot;  // restarts never campaign immediately
   if (initial) {
@@ -94,7 +76,12 @@ void SimCluster::build_host(int s, bool initial) {
       [this, s](uint32_t g) -> snapshot::SnapshotStore* {
         return snaps_[idx(s, static_cast<int>(g))].get();
       },
-      [this](uint32_t g) { return group_config(static_cast<int>(g)); }, hopts,
+      [this](uint32_t g) {
+        return node::cluster_group_config(opts_.num_servers, g, opts_.rs_mode, opts_.f,
+                                          opts_.code)
+            .value();
+      },
+      hopts,
       std::move(boot));  // PostFn empty: the sim is single-threaded, inline is safe
   host->start();
   if (opts_.balancer) {
@@ -108,12 +95,7 @@ void SimCluster::build_host(int s, bool initial) {
 void SimCluster::start_admin(int s) {
   auto admin = std::make_unique<obs::AdminServer>();
   node::NodeHost* host = hosts_[static_cast<size_t>(s)].get();
-  admin->route("/metrics", [](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = obs::MetricsRegistry::global().to_prometheus();
-    return r;
-  });
+  node::add_shared_admin_routes(admin.get(), host);
   // Unlike TcpCluster, /status never posts into the host: the sim loop only
   // advances when the test pumps it, so the admin thread serves the board
   // published by the last probe instead.
@@ -133,33 +115,13 @@ void SimCluster::start_admin(int s) {
     std::string inner;
     bool bad = false;
     for (uint32_t rr = 0; rr < host->num_reactors(); ++rr) {
-      obs::HealthMonitor* h = host->health(rr);
-      if (h == nullptr) {
-        r.body = "{}";
-        return r;
-      }
+      obs::HealthMonitor* h = host->health(rr);  // the host is started
       if (h->stalled(h->last_probe_us())) bad = true;
       if (rr > 0) inner += ",";
       inner += h->healthz_json(h->last_probe_us());
     }
     r.body = "{\"server\":" + std::to_string(host->server_index()) + ",\"status\":\"" +
              (bad ? "stalled" : "ok") + "\",\"reactors\":[" + inner + "]}";
-    return r;
-  });
-  admin->route("/traces/recent", [](const obs::AdminRequest& req) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = req.query == "slow" ? obs::Tracer::global().slow_json(32)
-                                 : obs::Tracer::global().recent_json(32);
-    return r;
-  });
-  // Routing view + per-shard write counters: published from the sim thread's
-  // apply path into the thread-safe RoutingView / atomic counters, so the
-  // admin thread may read them directly.
-  admin->route("/routing", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->routing_json();
     return r;
   });
   Status st = admin->start({});
@@ -187,19 +149,8 @@ void SimCluster::wait_for_leaders(DurationMicros max_wait) {
 }
 
 RoutingTable SimCluster::routing() const {
-  RoutingTable rt;
-  rt.group_members.resize(static_cast<size_t>(opts_.num_groups));
-  for (int g = 0; g < opts_.num_groups; ++g) {
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      rt.group_members[static_cast<size_t>(g)].push_back(endpoint_id(s, g));
-    }
-  }
-  // Fresh clients boot on the epoch-0 identity map and self-heal from
-  // kWrongShard redirects / piggybacked epochs if shards have since moved.
-  uint32_t shards = opts_.num_shards > 0 ? static_cast<uint32_t>(opts_.num_shards)
-                                         : static_cast<uint32_t>(opts_.num_groups);
-  rt.map = ShardMap::identity(shards, static_cast<uint32_t>(opts_.num_groups));
-  return rt;
+  return node::initial_routing(opts_.num_servers, static_cast<uint32_t>(opts_.num_groups),
+                               static_cast<uint32_t>(std::max(0, opts_.num_shards)));
 }
 
 std::unique_ptr<KvClient> SimCluster::make_client(int client_idx, KvClient::Options copts) {

@@ -7,9 +7,7 @@
 #include <memory>
 #include <thread>
 
-#include "consensus/config.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "node/cluster_config.h"
 
 namespace rspaxos::node {
 
@@ -24,6 +22,11 @@ StatusOr<std::unique_ptr<TcpCluster>> TcpCluster::start(TcpClusterOptions opts) 
   }
   if (opts.data_dir.empty()) {
     return Status::invalid("tcp cluster: data_dir is required");
+  }
+  // Every group has the same geometry: refuse one the code cannot serve.
+  auto cfg = cluster_group_config(opts.num_servers, 0, opts.rs_mode, opts.f, opts.code);
+  if (!cfg.is_ok()) {
+    return Status::invalid("tcp cluster: " + cfg.status().to_string());
   }
   auto cluster = std::unique_ptr<TcpCluster>(new TcpCluster(std::move(opts)));
   RSP_RETURN_IF_ERROR(cluster->boot());
@@ -101,7 +104,8 @@ Status TcpCluster::boot() {
           static_cast<uint32_t>(R);
       auto wal = storage::FileWal::open((dir / wal_name).string(),
                                         opts_.wal_group_commit_window_us,
-                                        opts_.wal_segment_bytes, local_groups);
+                                        storage::FileWal::kDefaultSegmentBytes,
+                                        local_groups);
       if (!wal.is_ok()) return wal.status();
       wals_[static_cast<size_t>(s * R + r)] = std::move(wal).value();
       host_wals.push_back(wals_[static_cast<size_t>(s * R + r)].get());
@@ -115,7 +119,6 @@ Status TcpCluster::boot() {
     hopts.replica.ec_pool = ec_pool_.get();
     hopts.kv = opts_.kv;
     hopts.health = opts_.health;
-    hopts.watchdog = opts_.watchdog;
     hopts.num_shards = opts_.num_shards;
     hosts_[static_cast<size_t>(s)] = std::make_unique<NodeHost>(
         s, groups, [this](NodeId id) -> NodeContext* { return endpoints_.at(id); },
@@ -123,7 +126,11 @@ Status TcpCluster::boot() {
         [this, s](uint32_t g) -> snapshot::SnapshotStore* {
           return snaps_[static_cast<size_t>(s)]->group(g);
         },
-        [this](uint32_t g) { return group_config(g); }, hopts,
+        [this](uint32_t g) {
+          return cluster_group_config(opts_.num_servers, g, opts_.rs_mode, opts_.f, opts_.code)
+              .value();
+        },
+        hopts,
         [this, s](uint32_t g) {
           return opts_.spread_leaders ? static_cast<int>(g) % opts_.num_servers == s : s == 0;
         },
@@ -164,15 +171,7 @@ Status TcpCluster::start_admin(int s) {
   auto admin = std::make_unique<obs::AdminServer>();
   NodeHost* host = hosts_[static_cast<size_t>(s)].get();
 
-  // /metrics scrapes the process-global registry: one process hosts every
-  // server in these assemblies, so each admin port serves the same families
-  // and the {server=...} labels do the splitting.
-  admin->route("/metrics", [](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = obs::MetricsRegistry::global().to_prometheus();
-    return r;
-  });
+  add_shared_admin_routes(admin.get(), host);
 
   admin->route("/healthz", [host](const obs::AdminRequest&) {
     obs::AdminResponse r;
@@ -207,23 +206,6 @@ Status TcpCluster::start_admin(int s) {
     obs::AdminResponse r;
     r.content_type = "application/json";
     r.body = host->status_snapshot();
-    return r;
-  });
-
-  admin->route("/traces/recent", [](const obs::AdminRequest& req) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = req.query == "slow" ? obs::Tracer::global().slow_json(32)
-                                 : obs::Tracer::global().recent_json(32);
-    return r;
-  });
-
-  // Routing view + per-shard write counters (RoutingView and the counters
-  // are thread-safe by construction; no loop posting needed).
-  admin->route("/routing", [host](const obs::AdminRequest&) {
-    obs::AdminResponse r;
-    r.content_type = "application/json";
-    r.body = host->routing_json();
     return r;
   });
 
@@ -270,45 +252,8 @@ net::TcpNode* TcpCluster::endpoint(int s, uint32_t g) {
   return it != endpoints_.end() ? it->second : nullptr;
 }
 
-consensus::GroupConfig TcpCluster::group_config(uint32_t g) const {
-  std::vector<NodeId> members;
-  members.reserve(static_cast<size_t>(opts_.num_servers));
-  for (int s = 0; s < opts_.num_servers; ++s) {
-    members.push_back(net::endpoint_id(s, static_cast<int>(g)));
-  }
-  if (opts_.rs_mode) {
-    auto cfg = consensus::GroupConfig::rs_max_x(std::move(members), opts_.f);
-    if (cfg.is_ok()) {
-      consensus::GroupConfig c = std::move(cfg).value();
-      if (opts_.code != ec::CodeId::kRs) {
-        c.code = opts_.code;
-        if (!c.validate().is_ok()) c.code = ec::CodeId::kRs;
-      }
-      return c;
-    }
-    // Too few servers for the requested f: degrade like SimCluster's callers
-    // would — majority quorums over the same members.
-    members.clear();
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      members.push_back(net::endpoint_id(s, static_cast<int>(g)));
-    }
-  }
-  return consensus::GroupConfig::majority(std::move(members));
-}
-
 kv::RoutingTable TcpCluster::routing() const {
-  kv::RoutingTable rt;
-  rt.group_members.resize(opts_.num_groups);
-  for (uint32_t g = 0; g < opts_.num_groups; ++g) {
-    for (int s = 0; s < opts_.num_servers; ++s) {
-      rt.group_members[g].push_back(net::endpoint_id(s, static_cast<int>(g)));
-    }
-  }
-  // Fresh clients boot on the epoch-0 identity map and self-heal from
-  // kWrongShard redirects / piggybacked epochs if shards have since moved.
-  uint32_t shards = opts_.num_shards != 0 ? opts_.num_shards : opts_.num_groups;
-  rt.map = kv::ShardMap::identity(shards, opts_.num_groups);
-  return rt;
+  return initial_routing(opts_.num_servers, opts_.num_groups, opts_.num_shards);
 }
 
 StatusOr<net::TcpNode*> TcpCluster::start_client() {

@@ -51,9 +51,9 @@ struct TcpClusterOptions {
   /// true: RS-Paxos with QR=QW=N-f, X=N-2f; false: classic majority Paxos.
   bool rs_mode = true;
   int f = 1;  // target fault tolerance for rs_mode
-  /// Erasure-code policy for every group (rs_mode only). Kept when the
-  /// resulting config validates (hh always does — MDS); silently degraded
-  /// back to rs otherwise, matching this struct's degrade-don't-die style.
+  /// Erasure-code policy for every group (rs_mode only). start() fails with
+  /// an invalid status when the resulting config does not validate (hh always
+  /// does — MDS), as it does when num_servers - 2f < 1.
   ec::CodeId code = ec::CodeId::kRs;
   /// Client ports are reserved up front alongside the server ports (ports
   /// cannot be grown later without re-racing free_ports).
@@ -61,7 +61,6 @@ struct TcpClusterOptions {
   consensus::ReplicaOptions replica;
   kv::KvServerOptions kv;
   int64_t wal_group_commit_window_us = 200;
-  size_t wal_segment_bytes = storage::FileWal::kDefaultSegmentBytes;
   /// Root of all durable state; server s uses `<data_dir>/s<s>/`. Required.
   std::string data_dir;
   /// true: group g's deterministic initial leader campaigns on server
@@ -75,7 +74,6 @@ struct TcpClusterOptions {
   uint16_t admin_base_port = 0;
   /// Health watchdog configuration forwarded to every NodeHost.
   obs::HealthOptions health;
-  bool watchdog = true;
   /// Run a background Balancer on every server (the meta-group leader's is
   /// the one that acts; see node/balancer.h).
   bool balancer = false;
@@ -135,7 +133,6 @@ class TcpCluster {
   explicit TcpCluster(TcpClusterOptions opts) : opts_(std::move(opts)) {}
   Status boot();
   Status start_admin(int s);
-  consensus::GroupConfig group_config(uint32_t g) const;
 
   TcpClusterOptions opts_;
   int reactors_ = 1;  // resolved from opts_.reactors at boot

@@ -8,12 +8,12 @@ namespace rspaxos::obs {
 // ---------------------------------------------------------------------------
 // SlidingHistogram
 
-SlidingHistogram::SlidingHistogram(int64_t window_us, int slices)
+SlidingHistogram::SlidingHistogram(int64_t window_us)
     : window_us_(window_us),
-      slice_us_(std::max<int64_t>(1, window_us / std::max(1, slices))),
+      slice_us_(std::max<int64_t>(1, window_us / kSlices)),
       // One extra slot so a full window of sealed slices coexists with the
       // slice currently filling.
-      ring_(static_cast<size_t>(std::max(1, slices) + 1)) {}
+      ring_(static_cast<size_t>(kSlices + 1)) {}
 
 SlidingHistogram::Slice& SlidingHistogram::slot(int64_t now_us) const {
   int64_t seq = now_us / slice_us_;
@@ -58,9 +58,9 @@ HealthMonitor::HealthMonitor(uint32_t server, HealthOptions opts, uint32_t react
     : server_(server),
       reactor_(reactor),
       opts_(opts),
-      loop_lag_(static_cast<int64_t>(opts.window), opts.slices),
-      fsync_(static_cast<int64_t>(opts.window), opts.slices),
-      queue_depth_(static_cast<int64_t>(opts.window), opts.slices) {
+      loop_lag_(static_cast<int64_t>(kWindow)),
+      fsync_(static_cast<int64_t>(kWindow)),
+      queue_depth_(static_cast<int64_t>(kWindow)) {
   auto& reg = MetricsRegistry::global();
   std::string s = std::to_string(server_);
   std::string r = std::to_string(reactor_);
@@ -131,17 +131,11 @@ void HealthMonitor::probe() {
   fsync_p99_gauge_->set(fsync_p99);
   stalled_gauge_->set(stalled(node_now) ? 1 : 0);
 
-  // Overload watermarks (admission control feed): trip at the watermark,
+  // Overload watermark (admission control feed): trip at the watermark,
   // clear below half of it — hysteresis stops probe-to-probe flapping.
-  if (opts_.overload_lag_p99 > 0 || opts_.overload_fsync_p99 > 0) {
-    bool was = overloaded_.load(std::memory_order_relaxed);
-    auto over = [&](int64_t v, DurationMicros mark) {
-      if (mark == 0) return false;
-      int64_t m = static_cast<int64_t>(mark);
-      return v >= (was ? m / 2 : m);
-    };
-    bool now_over =
-        over(lag_p99, opts_.overload_lag_p99) || over(fsync_p99, opts_.overload_fsync_p99);
+  if (opts_.overload_lag_p99 > 0) {
+    int64_t mark = static_cast<int64_t>(opts_.overload_lag_p99);
+    bool now_over = lag_p99 >= (overloaded_.load(std::memory_order_relaxed) ? mark / 2 : mark);
     overloaded_.store(now_over, std::memory_order_relaxed);
     overloaded_gauge_->set(now_over ? 1 : 0);
   }
@@ -160,10 +154,10 @@ bool HealthMonitor::stalled(int64_t now_us) const {
   if (last == 0) return false;  // no probe yet: not enough signal
   int64_t overdue = now_us - last;
   if (overdue > static_cast<int64_t>(opts_.probe_interval) +
-                    static_cast<int64_t>(opts_.stall_threshold)) {
+                    static_cast<int64_t>(kStallThreshold)) {
     return true;
   }
-  return loop_lag_window().value_at(0.99) > static_cast<int64_t>(opts_.stall_threshold);
+  return loop_lag_window().value_at(0.99) > static_cast<int64_t>(kStallThreshold);
 }
 
 namespace {

@@ -27,11 +27,14 @@
 
 namespace rspaxos::obs {
 
-/// A histogram over the trailing `window_us`: values land in rotating time
-/// slices; a query merges the slices still inside the window. Thread-safe.
+/// A histogram over the trailing `window_us`: values land in kSlices rotating
+/// time slices; a query merges the slices still inside the window.
+/// Thread-safe.
 class SlidingHistogram {
  public:
-  explicit SlidingHistogram(int64_t window_us, int slices = 10);
+  static constexpr int kSlices = 10;
+
+  explicit SlidingHistogram(int64_t window_us);
 
   void record(int64_t value, int64_t now_us);
   /// Merged copy of every slice inside [now - window, now].
@@ -56,22 +59,21 @@ class SlidingHistogram {
 
 struct HealthOptions {
   DurationMicros probe_interval = 100 * kMillis;
-  /// Width of the sliding windows behind the live percentiles.
-  DurationMicros window = 10 * kSeconds;
-  /// Loop-lag p99 above this — or probes overdue by more than
-  /// probe_interval + this — flips the host to "stalled".
-  DurationMicros stall_threshold = 1 * kSeconds;
-  int slices = 10;
-  /// Overload watermarks feeding KvServer admission control (0 = disabled).
-  /// The flag trips when a windowed p99 crosses its watermark and clears with
-  /// hysteresis once it falls below half of it, so admission does not flap
-  /// probe-to-probe.
+  /// Overload watermark feeding KvServer admission control (0 = disabled).
+  /// The flag trips when the windowed loop-lag p99 crosses it and clears with
+  /// hysteresis once the p99 falls below half of it, so admission does not
+  /// flap probe-to-probe.
   DurationMicros overload_lag_p99 = 0;
-  DurationMicros overload_fsync_p99 = 0;
 };
 
 class HealthMonitor {
  public:
+  /// Width of the sliding windows behind the live percentiles.
+  static constexpr DurationMicros kWindow = 10 * kSeconds;
+  /// Loop-lag p99 above this — or probes overdue by more than
+  /// probe_interval + this — flips the host to "stalled".
+  static constexpr DurationMicros kStallThreshold = 1 * kSeconds;
+
   /// One monitor per reactor: `reactor` lands in every gauge's labels and in
   /// healthz_json, so a wedged reactor is attributable even though the other
   /// reactors on the machine keep answering.
@@ -96,9 +98,8 @@ class HealthMonitor {
   /// WAL flusher hook — any thread.
   void record_fsync(int64_t lat_us);
 
-  /// Overload verdict, recomputed once per probe from the watermarks in
-  /// HealthOptions (any thread; cheap). Always false while both watermarks
-  /// are disabled.
+  /// Overload verdict, recomputed once per probe from the watermark in
+  /// HealthOptions (any thread; cheap). Always false while it is disabled.
   bool overloaded() const { return overloaded_.load(std::memory_order_relaxed); }
 
   /// `now_us` is the host's node-clock time (NodeContext::now()); probes

@@ -340,17 +340,7 @@ void FileWal::stop() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-void FileWal::append(Bytes record, DurableFn cb) {
-  append(0, std::move(record), std::move(cb));
-}
-
-void FileWal::truncate_prefix(std::vector<Bytes> head, TruncateFn cb) {
-  truncate_prefix(0, std::move(head), std::move(cb));
-}
-
-void FileWal::replay(const std::function<void(BytesView)>& fn) { replay(0, fn); }
-
-void FileWal::append(uint32_t g, Bytes record, DurableFn cb) {
+void FileWal::append(uint32_t g, Bytes record, Wal::DurableFn cb) {
   Pending p;
   p.group = g;
   p.framed = frame_data_record(g, record);
@@ -362,7 +352,7 @@ void FileWal::append(uint32_t g, Bytes record, DurableFn cb) {
   cv_.notify_one();
 }
 
-void FileWal::truncate_prefix(uint32_t g, std::vector<Bytes> head, TruncateFn cb) {
+void FileWal::truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) {
   Pending p;
   p.group = g;
   p.truncate = true;
@@ -563,7 +553,6 @@ void FileWal::do_truncate(Pending t) {
 
   bytes_flushed_.fetch_add(wrote);
   flush_ops_.fetch_add(1);
-  truncated_bytes_.fetch_add(reclaimed);
   if (t.group < group_counters_.size()) {
     group_counters_[t.group]->flushed.fetch_add(wrote);
     group_counters_[t.group]->truncated.fetch_add(reclaimed);

@@ -49,7 +49,7 @@
 
 namespace rspaxos::storage {
 
-class FileWal final : public Wal, public MuxWal {
+class FileWal final : public MuxWal {
  public:
   static constexpr size_t kDefaultSegmentBytes = 64u << 20;
 
@@ -71,23 +71,15 @@ class FileWal final : public Wal, public MuxWal {
   /// objects (TcpCluster: the transport's nodes) must stop() first.
   void stop();
 
-  // Wal interface: the log viewed as group 0 (the historical single-group
-  // callers), with whole-file counters.
-  void append(Bytes record, DurableFn cb) override;
-  void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override;
-  void replay(const std::function<void(BytesView)>& fn) override;
-  uint64_t bytes_flushed() const override { return bytes_flushed_.load(); }
-  uint64_t flush_ops() const override { return flush_ops_.load(); }
-  uint64_t truncated_bytes() const override { return truncated_bytes_.load(); }
-
   // MuxWal interface.
   uint32_t num_groups() const override { return num_groups_; }
-  void append(uint32_t g, Bytes record, DurableFn cb) override;
-  void truncate_prefix(uint32_t g, std::vector<Bytes> head, TruncateFn cb) override;
+  void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
+  void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
   void replay(uint32_t g, const std::function<void(BytesView)>& fn) override;
   uint64_t group_bytes_flushed(uint32_t g) const override;
   uint64_t group_truncated_bytes(uint32_t g) const override;
-  uint64_t machine_bytes_flushed() const override { return bytes_flushed_.load(); }
+  uint64_t flush_ops() const override { return flush_ops_.load(); }
+  uint64_t bytes_flushed() const override { return bytes_flushed_.load(); }
   void set_flush_observer(std::function<void(int64_t)> fn) override;
 
   // Diagnostics / test hooks (also surfaced via MuxWal for /status).
@@ -99,10 +91,10 @@ class FileWal final : public Wal, public MuxWal {
   struct Pending {
     uint32_t group = 0;
     Bytes framed;   // empty for truncate markers
-    DurableFn cb;
+    Wal::DurableFn cb;
     bool truncate = false;
     std::vector<Bytes> head;  // truncate only: replacement records (unframed)
-    TruncateFn tcb;
+    Wal::TruncateFn tcb;
   };
 
   /// Flusher-thread-private liveness state rebuilt by open()'s scan.
@@ -155,7 +147,6 @@ class FileWal final : public Wal, public MuxWal {
 
   std::atomic<uint64_t> bytes_flushed_{0};
   std::atomic<uint64_t> flush_ops_{0};
-  std::atomic<uint64_t> truncated_bytes_{0};
   struct GroupCounters {
     std::atomic<uint64_t> flushed{0};
     std::atomic<uint64_t> truncated{0};

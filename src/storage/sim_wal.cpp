@@ -38,7 +38,7 @@ struct SimWalMetrics {
 
 }  // namespace
 
-void SimWal::append(uint32_t g, Bytes record, DurableFn cb) {
+void SimWal::append(uint32_t g, Bytes record, Wal::DurableFn cb) {
   if (g >= groups_.size()) groups_.resize(g + 1);
   Pending p;
   p.group = g;
@@ -48,7 +48,7 @@ void SimWal::append(uint32_t g, Bytes record, DurableFn cb) {
   maybe_flush();
 }
 
-void SimWal::truncate_prefix(uint32_t g, std::vector<Bytes> head, TruncateFn cb) {
+void SimWal::truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) {
   if (g >= groups_.size()) groups_.resize(g + 1);
   Pending p;
   p.group = g;
@@ -78,7 +78,6 @@ void SimWal::maybe_flush() {
       GroupState& gs = groups_[t.group];
       uint64_t reclaimed = 0;
       for (const Bytes& r : gs.durable) reclaimed += r.size();
-      truncated_ += reclaimed;
       gs.truncated += reclaimed;
       gs.durable.clear();
       if (retain_) gs.durable = std::move(t.head);
@@ -121,7 +120,7 @@ void SimWal::maybe_flush() {
     wm.fsync_us->observe(fsync_us);
     wm.batch_records->observe(static_cast<int64_t>(batch));
     if (flush_observer_) flush_observer_(fsync_us);
-    std::vector<DurableFn> cbs;
+    std::vector<Wal::DurableFn> cbs;
     cbs.reserve(batch);
     for (size_t i = 0; i < batch; ++i) {
       Pending& p = staged_.front();

@@ -16,7 +16,7 @@
 
 namespace rspaxos::storage {
 
-class SimWal final : public Wal, public MuxWal {
+class SimWal final : public MuxWal {
  public:
   /// With retain_for_replay = false, durable records are accounted but not
   /// kept in memory (replay returns nothing). Benchmarks that never restart
@@ -29,21 +29,10 @@ class SimWal final : public Wal, public MuxWal {
   /// §7 IO-batching ablation). Default on.
   void set_group_commit(bool enabled) { group_commit_ = enabled; }
 
-  // Wal interface: the log viewed as group 0 (historical single-group
-  // callers), with whole-device counters.
-  void append(Bytes record, DurableFn cb) override { append(0, std::move(record), std::move(cb)); }
-  void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override {
-    truncate_prefix(0, std::move(head), std::move(cb));
-  }
-  void replay(const std::function<void(BytesView)>& fn) override { replay(0, fn); }
-  uint64_t bytes_flushed() const override { return bytes_flushed_; }
-  uint64_t flush_ops() const override { return flush_ops_; }
-  uint64_t truncated_bytes() const override { return truncated_; }
-
   // MuxWal interface.
   uint32_t num_groups() const override { return static_cast<uint32_t>(groups_.size()); }
-  void append(uint32_t g, Bytes record, DurableFn cb) override;
-  void truncate_prefix(uint32_t g, std::vector<Bytes> head, TruncateFn cb) override;
+  void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
+  void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
   void replay(uint32_t g, const std::function<void(BytesView)>& fn) override;
   uint64_t group_bytes_flushed(uint32_t g) const override {
     return g < groups_.size() ? groups_[g].bytes_flushed : 0;
@@ -51,7 +40,8 @@ class SimWal final : public Wal, public MuxWal {
   uint64_t group_truncated_bytes(uint32_t g) const override {
     return g < groups_.size() ? groups_[g].truncated : 0;
   }
-  uint64_t machine_bytes_flushed() const override { return bytes_flushed_; }
+  uint64_t flush_ops() const override { return flush_ops_; }
+  uint64_t bytes_flushed() const override { return bytes_flushed_; }
   void set_flush_observer(std::function<void(int64_t)> fn) override {
     flush_observer_ = std::move(fn);  // single-threaded (sim event loop)
   }
@@ -75,11 +65,11 @@ class SimWal final : public Wal, public MuxWal {
   struct Pending {
     uint32_t group = 0;
     Bytes record;
-    DurableFn cb;
+    Wal::DurableFn cb;
     // Truncation marker: acts as a flush barrier in the staged queue.
     bool truncate = false;
     std::vector<Bytes> head;
-    TruncateFn tcb;
+    Wal::TruncateFn tcb;
   };
   std::deque<Pending> staged_;
   std::function<void(int64_t)> flush_observer_;
@@ -88,7 +78,6 @@ class SimWal final : public Wal, public MuxWal {
   std::vector<GroupState> groups_;
   uint64_t bytes_flushed_ = 0;
   uint64_t flush_ops_ = 0;
-  uint64_t truncated_ = 0;
 };
 
 }  // namespace rspaxos::storage

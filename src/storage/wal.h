@@ -77,9 +77,9 @@ class MuxWal {
   /// Device flushes are shared across groups, so the facades all report the
   /// whole log's flush count.
   virtual uint64_t flush_ops() const = 0;
-  /// Whole-machine durable bytes across every group (the shared device) —
-  /// what /status reports as the machine's disk-cost axis.
-  virtual uint64_t machine_bytes_flushed() const = 0;
+  /// Durable bytes across every group (the shared device) — the machine's
+  /// disk-cost axis that /status reports.
+  virtual uint64_t bytes_flushed() const = 0;
   /// Observer invoked with each device flush's latency in microseconds, from
   /// the flushing execution context (a real flusher thread for FileWal, the
   /// sim event for SimWal). Set during assembly, before traffic; feeds the

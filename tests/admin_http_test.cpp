@@ -206,7 +206,7 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
     EXPECT_GT(commit_index_of(after.body, g), before_ci[g]) << "group " << g;
   }
   EXPECT_NE(after.body.find("\"wal\":{"), std::string::npos);
-  EXPECT_NE(after.body.find("\"machine_bytes_flushed\":"), std::string::npos);
+  EXPECT_NE(after.body.find("\"bytes_flushed\":"), std::string::npos);
   // Reactor surface: count, backend, static placement, per-reactor WALs.
   EXPECT_NE(after.body.find("\"reactors\":2"), std::string::npos) << after.body;
   EXPECT_NE(after.body.find("\"io_backend\":\""), std::string::npos) << after.body;

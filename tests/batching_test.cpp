@@ -116,7 +116,7 @@ TEST(Batching, FollowersTrackSlices) {
 
 TEST(Batching, FollowerRowsOfOneBatchShareOneShareBuffer) {
   BatchFixture f(20 * kMillis);
-  constexpr int kItems = 64;  // KvServerOptions::batch_max_count: one instance
+  constexpr int kItems = 64;  // KvServer::kBatchMaxCount: one instance
   constexpr size_t kLen = 300;
   int done = 0;
   for (int i = 0; i < kItems; ++i) {

@@ -246,8 +246,8 @@ TEST(MultiReactor, WholeMachineRestartRecoversEveryGroupAcrossReactorWals) {
     }
     // Both reactor logs on every machine saw traffic (groups 0,2 vs 1,3).
     for (int s = 0; s < kServers; ++s) {
-      EXPECT_GT(cluster->wal(s, 0).machine_bytes_flushed(), 0u) << "s" << s;
-      EXPECT_GT(cluster->wal(s, 1).machine_bytes_flushed(), 0u) << "s" << s;
+      EXPECT_GT(cluster->wal(s, 0).bytes_flushed(), 0u) << "s" << s;
+      EXPECT_GT(cluster->wal(s, 1).bytes_flushed(), 0u) << "s" << s;
     }
     cluster.reset();  // clean whole-cluster shutdown, WAL files remain
     c.client.reset();

@@ -1,7 +1,7 @@
 // Tests for the observability subsystem: registry semantics and thread
 // safety, exporter golden output, metric-name sanitization, CounterView delta
-// snapshots, histogram quantile interpolation, the sim-driven StatsReporter,
-// and span tracing (unit-level and end-to-end over the simulated cluster).
+// snapshots, histogram quantile interpolation, and span tracing (unit-level
+// and end-to-end over the simulated cluster).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 
 #include "kv/cluster.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "sim/sim_network.h"
 #include "sim/sim_world.h"
@@ -235,44 +234,6 @@ TEST(HistogramQuantiles, OverflowBucketEdgeUsesObservedMax) {
   EXPECT_EQ(h.max(), huge);
   EXPECT_LE(h.value_at(0.5), huge);
   EXPECT_GT(h.value_at(0.5), 0);
-}
-
-// --- StatsReporter over the simulator ---
-
-TEST(Reporter, TicksOnSimTime) {
-  sim::SimWorld world(3);
-  sim::SimNetwork net(&world);
-  MetricsRegistry reg;
-  reg.counter("rsp_test_seen_total", "t").inc(9);
-  obs::StatsReporter reporter(net.node(1), &reg, 10 * kMillis);
-  reporter.start();
-  world.run_for(105 * kMillis);
-  // Ticks at 10,20,...,100 ms of sim time — deterministic.
-  EXPECT_EQ(reporter.snapshots_taken(), 10u);
-  EXPECT_NE(reporter.last_snapshot().find("rsp_test_seen_total 9"), std::string::npos);
-  reporter.stop();
-  world.run_for(100 * kMillis);
-  EXPECT_EQ(reporter.snapshots_taken(), 10u);  // no ticks after stop()
-}
-
-TEST(Reporter, CallbackReceivesRegistry) {
-  sim::SimWorld world(4);
-  sim::SimNetwork net(&world);
-  MetricsRegistry reg;
-  reg.counter("rsp_test_cb_total", "t").inc(2);
-  uint64_t calls = 0;
-  uint64_t last_value = 0;
-  obs::StatsReporter reporter(
-      net.node(1), &reg, 20 * kMillis,
-      [&](const MetricsRegistry&, TimeMicros) {
-        calls++;
-        last_value = reg.counter("rsp_test_cb_total", "t").value();
-      });
-  reporter.start();
-  world.run_for(90 * kMillis);
-  reporter.stop();
-  EXPECT_EQ(calls, 4u);  // 20,40,60,80 ms
-  EXPECT_EQ(last_value, 2u);
 }
 
 // --- tracer unit tests (private instances, span model) ---

@@ -93,7 +93,7 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
     consensus::ReplicaOptions o = ropts;
     o.bootstrap_leader = bootstrap;
     servers[static_cast<size_t>(i)] = std::make_unique<kv::KvServer>(
-        node.value(), wals[static_cast<size_t>(i)].get(), cfg, o, kv::KvServerOptions{},
+        node.value(), wals[static_cast<size_t>(i)]->group(0), cfg, o, kv::KvServerOptions{},
         snaps[static_cast<size_t>(i)].get());
     // Install + start on the loop thread: reconnecting peers can deliver
     // messages the instant the handler is visible, and replica state is
@@ -141,7 +141,7 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
     for (int i = 0; i < kReplicas - 1; ++i) {
       auto compacted = on_loop(nodes[static_cast<size_t>(i)], [&] {
         return servers[static_cast<size_t>(i)]->replica().log_start() > 1 &&
-               wals[static_cast<size_t>(i)]->truncated_bytes() > 0;
+               wals[static_cast<size_t>(i)]->group(0)->truncated_bytes() > 0;
       });
       if (!compacted) return false;
     }

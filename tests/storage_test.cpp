@@ -44,7 +44,7 @@ TEST(SimWal, CallbackFiresOnlyAfterDiskCompletes) {
   sim::SimDisk disk(&w, sim::DiskParams{100, 1e9});  // 10 ms/op
   SimWal wal(&disk);
   bool durable = false;
-  wal.append(to_bytes("rec"), [&](Status) { durable = true; });
+  wal.group(0)->append(to_bytes("rec"), [&](Status) { durable = true; });
   w.run_for(5 * kMillis);
   EXPECT_FALSE(durable);
   w.run_for(6 * kMillis);
@@ -59,7 +59,7 @@ TEST(SimWal, GroupCommitBatchesConcurrentAppends) {
   // First append starts a flush; the next 9 arrive while the device is busy
   // and must share the second flush: 2 flushes total, not 10.
   for (int i = 0; i < 10; ++i) {
-    wal.append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) { done++; });
+    wal.group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) { done++; });
   }
   w.run_to_completion();
   EXPECT_EQ(done, 10);
@@ -71,14 +71,14 @@ TEST(SimWal, ReplayReturnsOnlyDurableRecords) {
   sim::SimWorld w(1);
   sim::SimDisk disk(&w, sim::DiskParams{100, 1e9});
   SimWal wal(&disk);
-  wal.append(to_bytes("one"), nullptr);
+  wal.group(0)->append(to_bytes("one"), nullptr);
   w.run_to_completion();  // "one" durable
-  wal.append(to_bytes("two"), nullptr);
+  wal.group(0)->append(to_bytes("two"), nullptr);
   // Crash before the second flush completes.
   wal.drop_unflushed();
   w.run_to_completion();
   std::string out;
-  wal.replay([&](BytesView r) { out += to_string(r); });
+  wal.group(0)->replay([&](BytesView r) { out += to_string(r); });
   EXPECT_EQ(out, "one");
 }
 
@@ -86,9 +86,9 @@ TEST(SimWal, LostAppendCallbackNeverFires) {
   sim::SimWorld w(1);
   sim::SimDisk disk(&w, sim::DiskParams{100, 1e9});
   SimWal wal(&disk);
-  wal.append(to_bytes("x"), nullptr);  // occupies the disk
+  wal.group(0)->append(to_bytes("x"), nullptr);  // occupies the disk
   bool fired = false;
-  wal.append(to_bytes("y"), [&](Status) { fired = true; });
+  wal.group(0)->append(to_bytes("y"), [&](Status) { fired = true; });
   wal.drop_unflushed();
   w.run_to_completion();
   EXPECT_FALSE(fired);
@@ -110,14 +110,14 @@ TEST_F(FileWalTest, AppendSyncReplay) {
   auto wal = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal.is_ok());
   std::promise<void> done;
-  wal.value()->append(to_bytes("hello"), nullptr);
-  wal.value()->append(to_bytes("world"), [&](Status s) {
+  wal.value()->group(0)->append(to_bytes("hello"), nullptr);
+  wal.value()->group(0)->append(to_bytes("world"), [&](Status s) {
     EXPECT_TRUE(s.is_ok());
     done.set_value();
   });
   done.get_future().wait();
   std::vector<std::string> records;
-  wal.value()->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], "hello");
   EXPECT_EQ(records[1], "world");
@@ -129,13 +129,13 @@ TEST_F(FileWalTest, SurvivesReopen) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->append(to_bytes("persist-me"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("persist-me"), [&](Status) { done.set_value(); });
     done.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "persist-me");
 }
@@ -145,7 +145,7 @@ TEST_F(FileWalTest, TornTailRecordIgnored) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->append(to_bytes("good"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("good"), [&](Status) { done.set_value(); });
     done.get_future().wait();
   }
   // Simulate a crash mid-append: garbage partial frame at the tail.
@@ -160,7 +160,7 @@ TEST_F(FileWalTest, TornTailRecordIgnored) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "good");
 }
@@ -170,8 +170,8 @@ TEST_F(FileWalTest, CorruptRecordStopsReplay) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->append(to_bytes("first"), nullptr);
-    wal.value()->append(to_bytes("second"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("first"), nullptr);
+    wal.value()->group(0)->append(to_bytes("second"), [&](Status) { done.set_value(); });
     done.get_future().wait();
   }
   // Flip a byte inside the second record's payload.
@@ -188,7 +188,7 @@ TEST_F(FileWalTest, CorruptRecordStopsReplay) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "first");
 }
@@ -215,7 +215,7 @@ TEST_F(FileWalTest, VectoredBatchSingleFlushReplayByteIdentical) {
   std::atomic<int> done{0};
   std::promise<void> all;
   for (auto& rec : expected) {
-    wal.value()->append(rec, [&](Status s) {
+    wal.value()->group(0)->append(rec, [&](Status s) {
       EXPECT_TRUE(s.is_ok());
       if (++done == kRecords) all.set_value();
     });
@@ -230,7 +230,7 @@ TEST_F(FileWalTest, VectoredBatchSingleFlushReplayByteIdentical) {
   EXPECT_GE(snap.max(), kRecords / 2);  // some batch coalesced many records
 
   std::vector<Bytes> replayed;
-  wal.value()->replay([&](BytesView r) { replayed.emplace_back(r.begin(), r.end()); });
+  wal.value()->group(0)->replay([&](BytesView r) { replayed.emplace_back(r.begin(), r.end()); });
   ASSERT_EQ(replayed.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(replayed[i], expected[i]) << "record " << i << " not byte-identical";
@@ -247,7 +247,7 @@ TEST_F(FileWalTest, VectoredBatchBeyondIovMax) {
   for (int i = 0; i < kRecords; ++i) {
     Bytes rec(16);
     std::memcpy(rec.data(), &i, sizeof(i));
-    wal.value()->append(std::move(rec), [&](Status s) {
+    wal.value()->group(0)->append(std::move(rec), [&](Status s) {
       EXPECT_TRUE(s.is_ok());
       if (++done == kRecords) all.set_value();
     });
@@ -255,7 +255,7 @@ TEST_F(FileWalTest, VectoredBatchBeyondIovMax) {
   all.get_future().wait();
   EXPECT_LE(wal.value()->flush_ops(), 3u);
   int n = 0;
-  wal.value()->replay([&](BytesView r) {
+  wal.value()->group(0)->replay([&](BytesView r) {
     ASSERT_EQ(r.size(), 16u);
     int got;
     std::memcpy(&got, r.data(), sizeof(got));
@@ -274,7 +274,7 @@ TEST_F(FileWalTest, VectoredBatchTornTailStillDetected) {
     std::atomic<int> done{0};
     std::promise<void> all;
     for (int i = 0; i < kRecords; ++i) {
-      wal.value()->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) {
+      wal.value()->group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) {
         if (++done == kRecords) all.set_value();
       });
     }
@@ -292,7 +292,7 @@ TEST_F(FileWalTest, VectoredBatchTornTailStillDetected) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   int n = 0;
-  wal2.value()->replay([&](BytesView r) {
+  wal2.value()->group(0)->replay([&](BytesView r) {
     EXPECT_EQ(r.size(), 100u);
     ++n;
   });
@@ -309,15 +309,15 @@ TEST_F(FileWalTest, ReplayStreamsLargeRecords) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->append(to_bytes("small-before"), nullptr);
-    wal.value()->append(big, nullptr);
-    wal.value()->append(to_bytes("small-after"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("small-before"), nullptr);
+    wal.value()->group(0)->append(big, nullptr);
+    wal.value()->group(0)->append(to_bytes("small-after"), [&](Status) { done.set_value(); });
     done.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<Bytes> records;
-  wal2.value()->replay([&](BytesView r) { records.emplace_back(r.begin(), r.end()); });
+  wal2.value()->group(0)->replay([&](BytesView r) { records.emplace_back(r.begin(), r.end()); });
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(to_string(records[0]), "small-before");
   EXPECT_EQ(records[1], big);
@@ -330,7 +330,7 @@ TEST_F(FileWalTest, GroupCommitWindowBatchesAppends) {
   std::atomic<int> done{0};
   std::promise<void> all;
   for (int i = 0; i < 20; ++i) {
-    wal.value()->append(Bytes(10, static_cast<uint8_t>(i)), [&](Status) {
+    wal.value()->group(0)->append(Bytes(10, static_cast<uint8_t>(i)), [&](Status) {
       if (++done == 20) all.set_value();
     });
   }
@@ -350,7 +350,7 @@ TEST_F(FileWalTest, TornTailRepairAtEveryByteOffset) {
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
     for (size_t i = 0; i < recs.size(); ++i) {
-      wal.value()->append(to_bytes(recs[i]),
+      wal.value()->group(0)->append(to_bytes(recs[i]),
                           i + 1 == recs.size() ? [&](Status) { done.set_value(); }
                                                : storage::Wal::DurableFn{});
     }
@@ -377,18 +377,18 @@ TEST_F(FileWalTest, TornTailRepairAtEveryByteOffset) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::vector<std::string> got;
-    wal.value()->replay([&](BytesView r) { got.push_back(to_string(r)); });
+    wal.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
     ASSERT_EQ(got.size(), recs.size() - 1);
     for (size_t i = 0; i + 1 < recs.size(); ++i) EXPECT_EQ(got[i], recs[i]);
     // The repaired log must keep accepting appends.
     std::promise<void> done;
-    wal.value()->append(to_bytes("recovered"), [&](Status s) {
+    wal.value()->group(0)->append(to_bytes("recovered"), [&](Status s) {
       EXPECT_TRUE(s.is_ok());
       done.set_value();
     });
     done.get_future().wait();
     got.clear();
-    wal.value()->replay([&](BytesView r) { got.push_back(to_string(r)); });
+    wal.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
     ASSERT_EQ(got.size(), recs.size());
     EXPECT_EQ(got.back(), "recovered");
   }
@@ -402,8 +402,8 @@ TEST_F(FileWalTest, TruncatePrefixRotatesUnlinksAndSurvivesReopen) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> flushed;
-    for (int i = 0; i < 8; ++i) wal.value()->append(Bytes(1024, uint8_t(i)), nullptr);
-    wal.value()->append(to_bytes("tail"), [&](Status) { flushed.set_value(); });
+    for (int i = 0; i < 8; ++i) wal.value()->group(0)->append(Bytes(1024, uint8_t(i)), nullptr);
+    wal.value()->group(0)->append(to_bytes("tail"), [&](Status) { flushed.set_value(); });
     flushed.get_future().wait();
     uint64_t seg_before = wal.value()->active_segment();
 
@@ -411,26 +411,27 @@ TEST_F(FileWalTest, TruncatePrefixRotatesUnlinksAndSurvivesReopen) {
     head.push_back(to_bytes("head-1"));
     head.push_back(to_bytes("head-2"));
     std::promise<uint64_t> reclaimed;
-    wal.value()->truncate_prefix(std::move(head), [&](StatusOr<uint64_t> r) {
+    wal.value()->group(0)->truncate_prefix(std::move(head), [&](StatusOr<uint64_t> r) {
       ASSERT_TRUE(r.is_ok());
       reclaimed.set_value(r.value());
     });
     EXPECT_GT(reclaimed.get_future().get(), 8u * 1024u);
     EXPECT_GT(wal.value()->first_segment(), seg_before);
-    EXPECT_GE(wal.value()->truncated_bytes(), 8u * 1024u);
+    EXPECT_GE(wal.value()->group(0)->truncated_bytes(), 8u * 1024u);
     // Old segments are gone from disk.
     for (uint64_t s = 0; s <= seg_before; ++s) {
       EXPECT_FALSE(std::filesystem::exists(wal.value()->segment_path(s)))
           << "segment " << s << " should be unlinked";
     }
     std::promise<void> appended;
-    wal.value()->append(to_bytes("after-truncate"), [&](Status) { appended.set_value(); });
+    wal.value()->group(0)->append(to_bytes("after-truncate"),
+                                  [&](Status) { appended.set_value(); });
     appended.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> got;
-  wal2.value()->replay([&](BytesView r) { got.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], "head-1");
   EXPECT_EQ(got[1], "head-2");
@@ -447,7 +448,7 @@ TEST_F(FileWalTest, SegmentRotationReplaysAcrossSegments) {
     // actually triggers once the active segment passes 4 KiB.
     for (int i = 0; i < 16; ++i) {
       std::promise<void> done;
-      wal.value()->append(Bytes(1024, static_cast<uint8_t>('a' + i)),
+      wal.value()->group(0)->append(Bytes(1024, static_cast<uint8_t>('a' + i)),
                           [&](Status) { done.set_value(); });
       done.get_future().wait();
     }
@@ -456,7 +457,7 @@ TEST_F(FileWalTest, SegmentRotationReplaysAcrossSegments) {
   auto wal2 = FileWal::open(path_.string(), 0, 4096);
   ASSERT_TRUE(wal2.is_ok());
   int i = 0;
-  wal2.value()->replay([&](BytesView r) {
+  wal2.value()->group(0)->replay([&](BytesView r) {
     ASSERT_EQ(r.size(), 1024u);
     EXPECT_EQ(r[0], static_cast<uint8_t>('a' + i));
     ++i;
@@ -468,20 +469,20 @@ TEST(SimWalTruncate, BarrierReplacesPrefixAndCountsBytes) {
   sim::SimWorld w(1);
   sim::SimDisk disk(&w, sim::DiskParams{100, 1e9});
   SimWal wal(&disk);
-  wal.append(Bytes(500, 1), nullptr);
-  wal.append(Bytes(500, 2), nullptr);
+  wal.group(0)->append(Bytes(500, 1), nullptr);
+  wal.group(0)->append(Bytes(500, 2), nullptr);
   w.run_to_completion();
   std::vector<Bytes> head;
   head.push_back(to_bytes("head"));
   uint64_t reclaimed = 0;
-  wal.truncate_prefix(std::move(head),
+  wal.group(0)->truncate_prefix(std::move(head),
                       [&](StatusOr<uint64_t> r) { reclaimed = r.is_ok() ? r.value() : 0; });
-  wal.append(to_bytes("after"), nullptr);
+  wal.group(0)->append(to_bytes("after"), nullptr);
   w.run_to_completion();
   EXPECT_EQ(reclaimed, 1000u);
-  EXPECT_EQ(wal.truncated_bytes(), 1000u);
+  EXPECT_EQ(wal.group(0)->truncated_bytes(), 1000u);
   std::vector<std::string> got;
-  wal.replay([&](BytesView r) { got.push_back(to_string(r)); });
+  wal.group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], "head");
   EXPECT_EQ(got[1], "after");

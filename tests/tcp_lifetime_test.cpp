@@ -3,7 +3,7 @@
 //    flushers before it frees the transport's nodes, because a flush that
 //    completes posts its durability callback onto the node (this once was a
 //    heap-use-after-free under ASan);
-//  - the async EC offload path: values >= ReplicaOptions::ec_async_min_bytes
+//  - the async EC offload path: values >= consensus::kEcAsyncMinBytes
 //    are encoded on the worker pool, and the payload buffer the worker reads
 //    is the one the log entry and KV row keep. Round-trips 64 KiB values at
 //    θ(3,5), across a leader change whose successor must recover the old
@@ -17,7 +17,9 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "consensus/config.h"
 #include "kv/client.h"
 #include "net/routing.h"
 #include "node/tcp_cluster.h"
@@ -150,7 +152,7 @@ TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
   auto dir = fresh_dir("offload");
   node::TcpClusterOptions opts = base_options(dir, 5);
   opts.ec_pool_threads = 2;
-  const size_t kLen = opts.replica.ec_async_min_bytes;  // 64 KiB: pool-encoded
+  const size_t kLen = consensus::kEcAsyncMinBytes;  // 64 KiB: pool-encoded
   constexpr int kKeys = 12;
   auto started = node::TcpCluster::start(opts);
   ASSERT_TRUE(started.is_ok()) << started.status().to_string();
@@ -205,6 +207,30 @@ TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
   c.quiesce();
   cluster.reset();
   std::filesystem::remove_all(dir);
+}
+
+// A geometry the requested code cannot serve is refused up front, never run
+// as a different code: lrc at θ(3,5) fails GroupConfig::validate (its
+// any-subset-decodable leaves the read/write quorum intersection short), and
+// two servers leave no room for f = 1.
+TEST(TcpLifetime, StartRejectsGeometryTheCodeCannotServe) {
+  auto dir = fresh_dir("tcp_bad_geometry");
+  node::TcpClusterOptions opts = base_options(dir, 5);
+  opts.code = ec::CodeId::kLrc;
+  std::vector<NodeId> members{0, 1, 2, 3, 4};
+  auto cfg = consensus::GroupConfig::rs_max_x(members, 1);
+  ASSERT_TRUE(cfg.is_ok());
+  cfg.value().code = ec::CodeId::kLrc;
+  ASSERT_FALSE(cfg.value().validate().is_ok());
+  auto lrc = node::TcpCluster::start(opts);
+  ASSERT_FALSE(lrc.is_ok());
+  EXPECT_EQ(lrc.status().code(), Code::kInvalidArgument) << lrc.status().to_string();
+
+  node::TcpClusterOptions two = base_options(dir, 2);
+  auto small = node::TcpCluster::start(two);
+  ASSERT_FALSE(small.is_ok());
+  EXPECT_EQ(small.status().code(), Code::kInvalidArgument) << small.status().to_string();
+  EXPECT_FALSE(std::filesystem::exists(dir));  // refused before touching disk
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Real-transport tests: the in-process LocalTransport (threads + queues) and
-// the epoll TCP transport (sockets, framing, CRC rejection, non-blocking
-// sends, reconnect, per-peer ordering under stress), both honouring the
-// NodeContext contract the protocol depends on.
+// Real-transport tests: the epoll TCP transport (sockets, framing, CRC
+// rejection, non-blocking sends, reconnect, per-peer ordering under stress)
+// and the NodeContext contract the protocol depends on (timers on the node's
+// loop thread, bytes_sent accounting).
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -12,11 +12,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "net/frame.h"
-#include "net/local_transport.h"
 #include "net/tcp_transport.h"
 #include "obs/metrics.h"
 #include "util/crc32.h"
@@ -57,88 +58,6 @@ struct Echo final : MessageHandler {
     }
   }
 };
-
-TEST(LocalTransport, DeliversBetweenThreads) {
-  LocalTransport t;
-  Collector rx;
-  t.node(2)->set_handler(&rx);
-  t.node(1)->send(2, MsgType::kTestPing, to_bytes("hello"));
-  ASSERT_TRUE(rx.wait_for(1));
-  EXPECT_EQ(rx.received[0].first, 1u);
-  EXPECT_EQ(to_string(rx.received[0].second), "hello");
-}
-
-TEST(LocalTransport, PingPong) {
-  LocalTransport t;
-  Echo echo(t.node(2));
-  t.node(2)->set_handler(&echo);
-  Collector rx;
-  t.node(1)->set_handler(&rx);
-  for (int i = 0; i < 50; ++i) {
-    t.node(1)->send(2, MsgType::kTestPing, Bytes{static_cast<uint8_t>(i)});
-  }
-  ASSERT_TRUE(rx.wait_for(50));
-}
-
-TEST(LocalTransport, OrderPreservedPerSender) {
-  LocalTransport t;
-  Collector rx;
-  t.node(2)->set_handler(&rx);
-  for (int i = 0; i < 200; ++i) {
-    t.node(1)->send(2, MsgType::kTestPing, Bytes{static_cast<uint8_t>(i)});
-  }
-  ASSERT_TRUE(rx.wait_for(200));
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(rx.received[static_cast<size_t>(i)].second[0], static_cast<uint8_t>(i));
-  }
-}
-
-TEST(LocalTransport, DisconnectedNodeUnreachable) {
-  LocalTransport t;
-  Collector rx;
-  t.node(2)->set_handler(&rx);
-  t.disconnect(2);
-  t.node(1)->send(2, MsgType::kTestPing, Bytes{1});
-  EXPECT_FALSE(rx.wait_for(1, 100));
-  t.reconnect(2);
-  t.node(1)->send(2, MsgType::kTestPing, Bytes{2});
-  EXPECT_TRUE(rx.wait_for(1));
-}
-
-TEST(LocalTransport, ChaosDropsSomeMessages) {
-  LocalTransport t;
-  t.set_chaos(0, 0, 0.5);
-  Collector rx;
-  t.node(2)->set_handler(&rx);
-  for (int i = 0; i < 400; ++i) t.node(1)->send(2, MsgType::kTestPing, Bytes{1});
-  t.node(1)->loop().drain();
-  t.node(2)->loop().drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  size_t n;
-  {
-    std::lock_guard<std::mutex> lk(rx.mu);
-    n = rx.received.size();
-  }
-  EXPECT_GT(n, 100u);
-  EXPECT_LT(n, 300u);
-}
-
-TEST(LocalTransport, TimersFireOnLoopThread) {
-  LocalTransport t;
-  std::atomic<bool> fired{false};
-  t.node(1)->set_timer(2000, [&] { fired = true; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(fired.load());
-}
-
-TEST(LocalTransport, BytesSentAccounting) {
-  LocalTransport t;
-  Collector rx;
-  t.node(2)->set_handler(&rx);
-  t.node(1)->send(2, MsgType::kTestPing, Bytes(77, 0));
-  ASSERT_TRUE(rx.wait_for(1));
-  EXPECT_EQ(t.node(1)->bytes_sent(), 77u);
-}
 
 class TcpTest : public ::testing::Test {
  protected:
@@ -206,6 +125,32 @@ TEST_F(TcpTest, ManyMessagesKeepOrder) {
               (rx.received[static_cast<size_t>(i)].second[1] << 8);
     EXPECT_EQ(got, i);
   }
+}
+
+// Timers set from a foreign thread still fire on the node's loop thread, the
+// one its handlers run on.
+TEST_F(TcpTest, TimersFireOnLoopThread) {
+  EXPECT_FALSE(node1_->on_context_thread());
+  auto on_loop = std::make_shared<std::promise<bool>>();
+  auto fired = on_loop->get_future();
+  TcpNode* n = node1_;
+  n->set_timer(2000, [on_loop, n] { on_loop->set_value(n->on_context_thread()); });
+  ASSERT_EQ(fired.wait_for(std::chrono::seconds(2)), std::future_status::ready);
+  EXPECT_TRUE(fired.get());
+}
+
+// bytes_sent() counts the payload bytes handed to send(): no frame header,
+// nothing on the receiver, and a frame to an unreachable peer still counts.
+TEST_F(TcpTest, BytesSentAccounting) {
+  Collector rx;
+  node2_->set_handler(&rx);
+  node1_->send(2, MsgType::kTestPing, Bytes(77, 0));
+  ASSERT_TRUE(rx.wait_for(1));
+  EXPECT_EQ(node1_->bytes_sent(), 77u);
+  EXPECT_EQ(node2_->bytes_sent(), 0u);
+  node1_->send(9, MsgType::kTestPing, Bytes(5, 0));  // no address for 9
+  EXPECT_EQ(node1_->send_drops(), 1u);
+  EXPECT_EQ(node1_->bytes_sent(), 82u);
 }
 
 TEST_F(TcpTest, SendToUnstartedPeerIsDropNotCrash) {

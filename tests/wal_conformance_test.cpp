@@ -1,5 +1,5 @@
-// Parametrized WAL conformance suite: FileWal and SimWal are both Wal +
-// MuxWal implementations and must agree on the observable contract —
+// Parametrized WAL conformance suite: FileWal and SimWal are both MuxWal
+// implementations and must agree on the observable contract —
 // append/replay ordering, per-group truncate_prefix semantics, crash
 // (torn-tail) behaviour, and fsync amortization across groups — even though
 // one is a real segmented file and the other a simulated device.
@@ -34,8 +34,6 @@ class WalHarness {
   virtual ~WalHarness() = default;
 
   virtual storage::MuxWal& mux() = 0;
-  /// The same log through the legacy single-group Wal interface (== group 0).
-  virtual storage::Wal& wal() = 0;
 
   void append(uint32_t g, Bytes rec) {
     issued_++;
@@ -97,7 +95,6 @@ class FileWalHarness final : public WalHarness {
   }
 
   storage::MuxWal& mux() override { return *wal_; }
-  storage::Wal& wal() override { return *wal_; }
 
   void drive() override {
     while (completed_.load() < issued_.load()) {
@@ -151,7 +148,6 @@ class SimWalHarness final : public WalHarness {
         wal_(&disk_, /*retain_for_replay=*/true, kGroups) {}
 
   storage::MuxWal& mux() override { return wal_; }
-  storage::Wal& wal() override { return wal_; }
 
   void drive() override {
     world_.run_to_completion();
@@ -183,19 +179,6 @@ class WalConformance : public ::testing::TestWithParam<HarnessFactory> {
   void SetUp() override { h_ = GetParam()(); }
   std::unique_ptr<WalHarness> h_;
 };
-
-TEST_P(WalConformance, AppendReplayRoundTripLegacyInterface) {
-  h_->append(0, to_bytes("a"));
-  h_->append(0, to_bytes("b"));
-  h_->append(0, to_bytes("c"));
-  h_->drive();
-  // Group 0 and the legacy whole-log view are the same log.
-  EXPECT_EQ(h_->replayed(0), (std::vector<std::string>{"a", "b", "c"}));
-  std::vector<std::string> legacy;
-  h_->wal().replay([&](BytesView r) { legacy.push_back(to_string(r)); });
-  EXPECT_EQ(legacy, h_->replayed(0));
-  EXPECT_GT(h_->wal().bytes_flushed(), 0u);
-}
 
 TEST_P(WalConformance, GroupsReplayIndependently) {
   h_->append(0, to_bytes("g0-1"));
@@ -301,15 +284,15 @@ TEST_P(WalConformance, PerReactorAccountingIdentityAcrossSplitLogs) {
     // Per-group attribution covers at least every record's payload and sums
     // to no more than the device total (framing may only add, never lose).
     EXPECT_GE(group_sum, payload_sum) << "reactor " << r;
-    EXPECT_LE(group_sum, reactor[r]->mux().machine_bytes_flushed()) << "reactor " << r;
+    EXPECT_LE(group_sum, reactor[r]->mux().bytes_flushed()) << "reactor " << r;
     EXPECT_GT(reactor[r]->mux().flush_ops(), 0u) << "reactor " << r;
-    if (r == 0) r0_before_bytes = reactor[0]->mux().machine_bytes_flushed();
+    if (r == 0) r0_before_bytes = reactor[0]->mux().bytes_flushed();
   }
   // Isolation: traffic on reactor 1 must not move reactor 0's counters.
   reactor[1]->append(0, Bytes(kRecBytes, 0x7e));  // global group 1
   per_group[1]++;
   reactor[1]->drive();
-  EXPECT_EQ(reactor[0]->mux().machine_bytes_flushed(), r0_before_bytes);
+  EXPECT_EQ(reactor[0]->mux().bytes_flushed(), r0_before_bytes);
   // Each reactor's replay sees exactly its own groups' records.
   for (uint32_t g = 0; g < kGlobal; ++g) {
     EXPECT_EQ(reactor[g % 2]->replayed(g / 2).size(), per_group[g]) << "group " << g;
