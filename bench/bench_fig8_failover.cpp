@@ -48,8 +48,8 @@ Timeline run_failover(bool rs_mode, double read_ratio, uint64_t seed) {
   opts.disk = sim::DiskParams::ssd();
   opts.replica = bench_replica_options(true);
   // Recovery reads (the whole point of Figure 8b) need the replicas' coded
-  // shares: keep them all (values are 256 KB, memory stays bounded).
-  opts.replica.share_cache_slots = 0;
+  // shares. The WALs retain nothing, so nothing can be read back and the
+  // logs keep every share resident (values are 256 KB, memory stays bounded).
   opts.replica.payload_cache_slots = 64;
   opts.wal_retain = false;
   kv::SimCluster cluster(world.get(), opts);

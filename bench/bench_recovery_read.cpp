@@ -32,8 +32,8 @@ Row measure(size_t value_size, uint64_t seed) {
   opts.link = env.link;
   opts.disk = sim::DiskParams::ssd();
   opts.replica = bench_replica_options(true);
-  // Keep every share resident: this bench exists to measure recovery reads.
-  opts.replica.share_cache_slots = 0;
+  // Shares behind the horizon are evicted and read back from the WAL when a
+  // recovery read gathers them.
   opts.replica.payload_cache_slots = 64;
   kv::SimCluster cluster(world.get(), opts);
   cluster.wait_for_leaders();

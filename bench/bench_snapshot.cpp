@@ -40,9 +40,8 @@ Row measure(size_t value_size, int overwrites, bool snapshots, uint64_t seed) {
   opts.link = sim::LinkParams::lan();
   opts.disk = sim::DiskParams::ssd();
   opts.replica = bench_replica_options(false);
-  // Log replay needs the leader to still hold every missed share; keep them
-  // all resident so the no-snapshot arm can actually serve the full history.
-  opts.replica.share_cache_slots = 0;
+  // Log replay serves the full missed history from the leader's log; shares
+  // evicted behind the horizon are read back from its WAL.
   opts.replica.payload_cache_slots = 64;
   if (snapshots) opts.replica.checkpoint_interval_slots = 16;
   kv::SimCluster cluster(world.get(), opts);

@@ -69,7 +69,7 @@ Row run_one(const std::string& backend, size_t record_bytes, int total, uint32_t
         uint32_t g = static_cast<uint32_t>(issued) % groups;
         ++issued;
         lk.unlock();
-        wal->append(g, record, [&](Status) {
+        wal->append(g, record, [&](Status, storage::WalPos) {
           std::lock_guard<std::mutex> g2(mu);
           ++durable;
           cv.notify_one();

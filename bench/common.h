@@ -67,10 +67,9 @@ inline consensus::ReplicaOptions bench_replica_options(bool wan) {
   // Benchmarks run loss-free links; retransmission is pure insurance and a
   // short fuse would only duplicate multi-MB accepts behind slow disks.
   o.retransmit_interval = wan ? 4000 * kMillis : 2000 * kMillis;
-  // Bound host memory on multi-GB sweeps: drop cached payloads/shares of
+  // Bound host memory on multi-GB sweeps: drop cached payloads of
   // long-applied slots (the durable copies live in WAL + local store).
   o.payload_cache_slots = 4;
-  o.share_cache_slots = 4;
   return o;
 }
 

@@ -19,6 +19,8 @@ Replica::Replica(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg, ReplicaOp
   init_metrics();
 }
 
+Replica::~Replica() { add_resident_bytes(-static_cast<int64_t>(resident_share_bytes_)); }
+
 void Replica::init_metrics() {
   auto& reg = obs::MetricsRegistry::global();
   std::string node = std::to_string(ctx_->id());
@@ -55,8 +57,14 @@ void Replica::init_metrics() {
       counter("rsp_snapshot_installs", "Full-state reconstructions from >= X fragments");
   m_.snapshot_bytes =
       counter("rsp_snapshot_bytes", "Checkpoint fragment bytes durably saved");
-  m_.share_gc_dropped =
-      counter("rsp_share_gc_dropped", "Log-entry shares dropped by snapshot-gated GC");
+  m_.shares_evicted = counter("rsp_log_shares_evicted_total",
+                              "Log-entry shares evicted from memory behind the horizon");
+  m_.share_readbacks = counter("rsp_log_share_readbacks_total",
+                               "Evicted log-entry shares read back from the WAL");
+  m_.resident_share_bytes =
+      &reg.gauge_family("rsp_log_resident_share_bytes",
+                        "Share bytes the log holds in memory", {"node", "group"})
+           .with({node, group});
   m_.snapshot_duration_us =
       histogram("rsp_snapshot_duration_us", "Checkpoint build+encode+save latency");
 }
@@ -73,7 +81,8 @@ ReplicaStats Replica::stats() const {
   s.checkpoints = m_.checkpoints.value();
   s.snapshot_installs = m_.snapshot_installs.value();
   s.snapshot_bytes = m_.snapshot_bytes.value();
-  s.share_gc_dropped = m_.share_gc_dropped.value();
+  s.shares_evicted = m_.shares_evicted.value();
+  s.share_readbacks = m_.share_readbacks.value();
   s.repair_bytes = m_.repair_bytes.value();
   return s;
 }
@@ -197,12 +206,14 @@ void Replica::start_campaign() {
     self.promised = promised_;
     self.start_slot = campaign_start_;
     self.last_committed = commit_index_;
-    for (const auto& [slot, e] : log_) {
-      if (slot >= campaign_start_ && !e.accepted.is_null()) {
-        self.entries.push_back(PromiseEntry{slot, e.accepted, e.share});
-      }
+    auto entries = promise_entries(campaign_start_);
+    if (entries.is_ok()) {
+      self.entries = std::move(entries).value();
+      on_promise(ctx_->id(), std::move(self));
+    } else {
+      RSP_ERROR << "node " << ctx_->id() << " cannot promise to itself: "
+                << entries.status().to_string();
     }
-    on_promise(ctx_->id(), std::move(self));
 
     PrepareMsg msg;
     msg.epoch = cfg_.epoch;
@@ -530,24 +541,28 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
   // the full value for serving reads and catch-up (§1: "the leader caches
   // the original value itself"). In full-copy mode the share is the value:
   // one buffer serves as both.
+  CodedShare share;
+  share.vid = vid;
+  share.kind = kind;
+  share.code = cfg_.code;
+  share.share_idx = static_cast<uint32_t>(my_idx);
+  share.x = static_cast<uint32_t>(cfg_.x);
+  share.n = static_cast<uint32_t>(n);
+  share.value_len = p.value_len;
+  share.header = p.header;
   LogEntry& e = log_[slot];
   e.accepted = ballot_;
-  e.share.vid = vid;
-  e.share.kind = kind;
-  e.share.code = cfg_.code;
-  e.share.share_idx = static_cast<uint32_t>(my_idx);
-  e.share.x = static_cast<uint32_t>(cfg_.x);
-  e.share.n = static_cast<uint32_t>(n);
-  e.share.value_len = p.value_len;
-  e.share.header = p.header;
   e.committed = false;
-  if (e.share.full_copy()) {
-    e.share.data = std::move(payload);
+  e.durable = false;
+  e.wal_pos = {};
+  if (share.full_copy()) {
+    share.data = std::move(payload);
     e.payload.clear();
   } else {
-    e.share.data = std::move(my_share);
+    share.data = std::move(my_share);
     e.payload = std::move(payload);
   }
+  replace_share(e, std::move(share));
 
   auto [it, inserted] = pending_.emplace(slot, std::move(p));
   assert(inserted);
@@ -578,8 +593,6 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
       commit_span, "wal_fsync", ctx_->id(), static_cast<int64_t>(ctx_->now()));
   persist_slot(slot, [this, slot, ballot = ballot_, fsync_span] {
     obs::Tracer::global().end_span(fsync_span, static_cast<int64_t>(ctx_->now()));
-    auto lit = log_.find(slot);
-    if (lit != log_.end() && lit->second.accepted == ballot) lit->second.durable = true;
     auto pit = pending_.find(slot);
     if (pit == pending_.end() || role_ != Role::kLeader || ballot != ballot_) return;
     pit->second.acks.insert(ctx_->id());
@@ -684,11 +697,14 @@ void Replica::on_prepare(NodeId from, PrepareMsg msg) {
   arm_election_timer();  // someone is actively campaigning; stand back
   out.ok = true;
   out.promised = promised_;
-  for (const auto& [slot, e] : log_) {
-    if (slot >= msg.start_slot && !e.accepted.is_null()) {
-      out.entries.push_back(PromiseEntry{slot, e.accepted, e.share});
-    }
+  auto entries = promise_entries(msg.start_slot);
+  if (!entries.is_ok()) {
+    // Withholding the promise is safe; omitting an accepted share is not.
+    RSP_ERROR << "node " << ctx_->id() << " withholds promise for "
+              << msg.ballot.to_string() << ": " << entries.status().to_string();
+    return;
   }
+  out.entries = std::move(entries).value();
   persist_meta([this, from, out = std::move(out)]() mutable {
     ctx_->send(from, MsgType::kPromise, out.encode());
   });
@@ -750,17 +766,15 @@ void Replica::on_accept(NodeId from, AcceptMsg msg) {
   // A cached payload survives only a re-proposal of the same value.
   if (e.share.vid != msg.share.vid) e.payload.clear();
   e.accepted = msg.ballot;
-  e.share = std::move(msg.share);
+  replace_share(e, std::move(msg.share));
   e.durable = false;
+  e.wal_pos = {};
   next_slot_ = std::max(next_slot_, msg.slot + 1);
   out.ok = true;
   out.promised = promised_;
   obs::SpanContext fsync_span = tracer.start_span(in_span, "wal_fsync", ctx_->id(),
                                                   static_cast<int64_t>(ctx_->now()));
-  persist_slot(msg.slot, [this, from, slot = msg.slot, ballot = msg.ballot,
-                          fsync_span, out = std::move(out)]() mutable {
-    auto it = log_.find(slot);
-    if (it != log_.end() && it->second.accepted == ballot) it->second.durable = true;
+  persist_slot(msg.slot, [this, from, fsync_span, out = std::move(out)]() mutable {
     obs::Tracer::global().end_span(fsync_span, static_cast<int64_t>(ctx_->now()));
     ctx_->send(from, MsgType::kAccepted, out.encode());
   });
@@ -932,21 +946,38 @@ void Replica::apply_config_entry(const LogEntry& e, Slot slot) {
 // touches anything.
 void Replica::persist_meta(std::function<void()> then) {
   wal_->append(encode_meta_record(promised_),
-               [ctx = ctx_, then = std::move(then)](Status st) {
+               [ctx = ctx_, then = std::move(then)](Status st, storage::WalPos) {
                  if (st.is_ok() && then) ctx->set_timer(0, then);
                });
 }
 
 void Replica::persist_slot(Slot slot, std::function<void()> then) {
   const LogEntry& e = log_[slot];
-  wal_->append(encode_slot_record(slot, e.accepted, e.share),
-               [ctx = ctx_, then = std::move(then)](Status st) {
-                 if (st.is_ok() && then) ctx->set_timer(0, then);
-               });
+  wal_->append(
+      encode_slot_record(slot, e.accepted, e.share),
+      [this, ctx = ctx_, slot, ballot = e.accepted, vid = e.share.vid,
+       truncations = wal_truncations_, then = std::move(then)](Status st,
+                                                               storage::WalPos pos) mutable {
+        if (!st.is_ok()) return;
+        ctx->set_timer(0, [=, this, then = std::move(then)] {
+          // The entry, if it still holds what was written, records where it
+          // landed — unless a truncation issued since then retired that
+          // position.
+          auto it = log_.find(slot);
+          if (it != log_.end() && it->second.accepted == ballot &&
+              it->second.share.vid == vid) {
+            LogEntry& le = it->second;
+            le.durable = true;
+            if (truncations == wal_truncations_) le.wal_pos = pos;
+            if (le.applied && slot <= gc_floor_) evict_share(le);  // floor passed it in flight
+          }
+          if (then) then();
+        });
+      });
 }
 
 void Replica::restore_from_wal() {
-  wal_->replay([this](BytesView rec) {
+  wal_->replay([this](BytesView rec, storage::WalPos pos) {
     Reader r(rec);
     uint8_t tag = 0;
     if (!r.u8(tag).is_ok()) return;
@@ -967,7 +998,9 @@ void Replica::restore_from_wal() {
             decode_share(r, share).is_ok()) {
           LogEntry& e = log_[slot];
           e.accepted = accepted;
-          e.share = std::move(share);
+          replace_share(e, std::move(share));
+          e.durable = true;
+          e.wal_pos = pos;
           next_slot_ = std::max(next_slot_, slot + 1);
         }
         return;
@@ -989,7 +1022,7 @@ void Replica::restore_from_wal() {
           applied_index_ = std::max(applied_index_, barrier);
           commit_index_ = std::max(commit_index_, barrier);
           next_slot_ = std::max(next_slot_, next_hint);
-          log_.erase(log_.begin(), log_.upper_bound(barrier));
+          erase_log_through(barrier);
         }
         return;
       }
@@ -1010,43 +1043,78 @@ Replica::EntryBuffers Replica::entry_buffers_for_test(Slot slot) const {
 }
 
 void Replica::maybe_drop_old_payloads() {
-  if (opts_.payload_cache_slots != 0 && applied_index_ > opts_.payload_cache_slots) {
-    Slot cutoff = applied_index_ - opts_.payload_cache_slots;
-    // Incremental: slots <= the floor were stripped by an earlier pass, so
-    // each call walks only newly aged-out entries. Without the floor this
-    // rescan is O(applied_index) per apply batch — quadratic over a long
-    // run, and open-loop saturation runs push hundreds of thousands of
-    // slots. This relies on nothing caching a payload at or below the floor
-    // later: accepts never set one, and recovery reads cache only above it.
-    for (auto it = log_.upper_bound(payload_gc_floor_);
-         it != log_.end() && it->first <= cutoff; ++it) {
-      if (it->second.applied) it->second.payload.clear();
-    }
-    payload_gc_floor_ = std::max(payload_gc_floor_, cutoff);
+  if (opts_.payload_cache_slots == 0 || applied_index_ <= opts_.payload_cache_slots) return;
+  Slot cutoff = applied_index_ - opts_.payload_cache_slots;
+  // Incremental: slots <= the floor were stripped by an earlier pass, so
+  // each call walks only newly aged-out entries. Without the floor this
+  // rescan is O(applied_index) per apply batch — quadratic over a long
+  // run, and open-loop saturation runs push hundreds of thousands of
+  // slots. This relies on nothing caching a payload at or below the floor
+  // later (accepts never set one, and recovery reads cache only above it),
+  // and on a record that lands below the floor evicting its own share.
+  for (auto it = log_.upper_bound(gc_floor_); it != log_.end() && it->first <= cutoff; ++it) {
+    if (!it->second.applied) continue;
+    it->second.payload.clear();
+    evict_share(it->second);
   }
-  if (opts_.share_cache_slots != 0 && applied_index_ > opts_.share_cache_slots) {
-    Slot cutoff = applied_index_ - opts_.share_cache_slots;
-    // With checkpointing enabled, share GC may only drop what a durable
-    // snapshot already covers: below the watermark (the durably saved
-    // fragment's barrier) the image supersedes the shares, above it a read
-    // quorum may still need them to reconstruct. With checkpointing off the
-    // legacy age-based policy stands.
-    if (snap_store_ != nullptr && opts_.checkpoint_interval_slots > 0) {
-      Slot watermark =
-          snap_man_.has_value() ? static_cast<Slot>(snap_man_->applied_index) : 0;
-      cutoff = std::min(cutoff, watermark);
-    }
-    for (auto it = log_.upper_bound(share_gc_floor_);
-         it != log_.end() && it->first <= cutoff; ++it) {
-      LogEntry& e = it->second;
-      if (e.applied && !e.share.data.empty()) {
-        e.payload.clear();
-        e.share.data.clear();
-        m_.share_gc_dropped.inc();
-      }
-    }
-    share_gc_floor_ = std::max(share_gc_floor_, cutoff);
+  gc_floor_ = std::max(gc_floor_, cutoff);
+}
+
+void Replica::evict_share(LogEntry& e) {
+  // Without a position (not yet durable, retired by a truncation, or a WAL
+  // that retains nothing) the share stays: nothing could give it back.
+  if (!e.durable || !e.wal_pos.valid() || e.share.data.empty()) return;
+  add_resident_bytes(-static_cast<int64_t>(e.share.data.size()));
+  e.share.data.clear();
+  m_.shares_evicted.inc();
+}
+
+StatusOr<CodedShare> Replica::own_share(Slot slot, const LogEntry& e) {
+  if (!e.share_evicted()) return e.share;
+  m_.share_readbacks.inc();
+  auto rec = wal_->read(e.wal_pos);
+  if (!rec.is_ok()) return rec.status();
+  Reader r(rec.value());
+  uint8_t tag = 0;
+  Slot rec_slot = 0;
+  Ballot accepted;
+  CodedShare share;
+  if (!r.u8(tag).is_ok() || tag != kRecSlot || !r.varint(rec_slot).is_ok() ||
+      rec_slot != slot || !decode_ballot(r, accepted).is_ok() ||
+      !decode_share(r, share).is_ok() || share.vid != e.share.vid) {
+    return Status::corruption("wal record does not hold slot " + std::to_string(slot));
   }
+  return share;
+}
+
+StatusOr<std::vector<PromiseEntry>> Replica::promise_entries(Slot from) {
+  std::vector<PromiseEntry> out;
+  for (auto it = log_.lower_bound(from); it != log_.end(); ++it) {
+    if (it->second.accepted.is_null()) continue;
+    auto share = own_share(it->first, it->second);
+    if (!share.is_ok()) return share.status();
+    out.push_back(PromiseEntry{it->first, it->second.accepted, std::move(share).value()});
+  }
+  return out;
+}
+
+void Replica::replace_share(LogEntry& e, CodedShare share) {
+  add_resident_bytes(static_cast<int64_t>(share.data.size()) -
+                     static_cast<int64_t>(e.share.data.size()));
+  e.share = std::move(share);
+}
+
+void Replica::erase_log_through(Slot slot) {
+  auto end = log_.upper_bound(slot);
+  for (auto it = log_.begin(); it != end; ++it) {
+    add_resident_bytes(-static_cast<int64_t>(it->second.share.data.size()));
+  }
+  log_.erase(log_.begin(), end);
+}
+
+void Replica::add_resident_bytes(int64_t delta) {
+  resident_share_bytes_ += static_cast<uint64_t>(delta);  // modular: negative deltas subtract
+  m_.resident_share_bytes->add(delta);
 }
 // ---------------------------------------------------------------------------
 // Dispatch.

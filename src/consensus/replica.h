@@ -55,20 +55,14 @@ struct ReplicaOptions {
   DurationMicros lease_duration = 250 * kMillis;   // Δ of §4.3
   DurationMicros max_clock_drift = 20 * kMillis;   // δ of §4.3
   DurationMicros retransmit_interval = 100 * kMillis;
-  /// The log drops its cached full payload of an applied entry once the
-  /// entry is this many slots behind the applied index; recovery re-gathers
-  /// shares on demand (§4.4's recovery read). A KV row that stores the value
-  /// keeps its own reference to the same buffer. 0 keeps every payload.
+  /// The log keeps only recent values in memory: once an applied entry is
+  /// this many slots behind the applied index it drops its cached full
+  /// payload (recovery re-gathers shares on demand, §4.4) and evicts its
+  /// share, which is read back from the WAL record that made it durable
+  /// whenever a promise, catch-up, fetch-share or recovery needs it. A KV
+  /// row that stores the value keeps its own reference to the same buffer.
+  /// 0 keeps everything resident.
   uint64_t payload_cache_slots = 512;
-  /// Share GC: the log drops its reference to the share (and any cached
-  /// payload) of applied entries more than this many slots behind the
-  /// applied index, keeping the metadata. 0 keeps every share. With
-  /// checkpointing on, only slots a durable snapshot covers are eligible.
-  /// The bytes stay in memory while a KV row still references the same
-  /// buffer (a follower's share-only row) and on disk until the WAL prefix
-  /// is truncated; a stripped slot stops answering fetch-share requests
-  /// from this replica.
-  uint64_t share_cache_slots = 0;
   /// If true this node starts campaigning immediately at start() (used to
   /// give groups a deterministic initial leader).
   bool bootstrap_leader = false;
@@ -124,7 +118,8 @@ struct ReplicaStats {
   uint64_t checkpoints = 0;        // erasure-coded snapshots cut by this node
   uint64_t snapshot_installs = 0;  // full-state reconstructions completed
   uint64_t snapshot_bytes = 0;     // fragment bytes durably saved
-  uint64_t share_gc_dropped = 0;   // log-entry shares dropped by gated GC
+  uint64_t shares_evicted = 0;     // log-entry shares dropped behind the horizon
+  uint64_t share_readbacks = 0;    // evicted shares read back from the WAL
   uint64_t repair_bytes = 0;       // share bytes fetched from peers for repairs
 };
 
@@ -152,6 +147,7 @@ class Replica final : public MessageHandler {
   using StateCompleteFn = std::function<bool()>;
 
   Replica(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg, ReplicaOptions opts = {});
+  ~Replica() override;
 
   /// Registers the state-machine hook. Must be set before start().
   void set_apply(ApplyFn fn) { apply_ = std::move(fn); }
@@ -223,6 +219,9 @@ class Replica final : public MessageHandler {
   /// False while a restarted node is still reconstructing its pre-snapshot
   /// state image from the group's fragments (applies are paused).
   bool state_ready() const { return state_ready_; }
+  /// Share bytes the log holds in memory (evicted shares excluded; a buffer
+  /// a KV row also references counts here too).
+  uint64_t resident_share_bytes() const { return resident_share_bytes_; }
 
   /// Test hook: identities (SharedBytes::id) of the value buffers the log
   /// entry for `slot` holds — its share and its cached payload. Both null
@@ -238,14 +237,21 @@ class Replica final : public MessageHandler {
 
   struct LogEntry {
     Ballot accepted;
-    CodedShare share;  // this replica's durable share
+    /// This replica's durable share. Its data is evicted once the entry is
+    /// applied, durable and behind the horizon; own_share() reads it back.
+    CodedShare share;
     /// Cached original value (the leader's proposal or a recovery read's
     /// decode), shared with the KV row that stores it. Never set in
     /// full-copy mode, where the share already is the value.
     SharedBytes payload;
+    /// Where the latest durable record of this slot landed; none until it
+    /// lands, and after a WAL truncation retired it.
+    storage::WalPos wal_pos;
     bool durable = false;  // share persisted; duplicate accepts ack directly
     bool committed = false;
     bool applied = false;
+
+    bool share_evicted() const { return share.data.empty() && share.value_len > 0; }
 
     /// The full value when it is resident here: the share itself in
     /// full-copy mode, otherwise the cache. An empty value is always
@@ -421,7 +427,23 @@ class Replica final : public MessageHandler {
   const ec::EcPolicy& policy() const {
     return ec::PolicyCache::get(cfg_.code, cfg_.x, cfg_.n());
   }
+  /// Drops cached payloads and evicts shares of applied entries behind the
+  /// horizon, walking only slots above the floor the last pass reached.
   void maybe_drop_old_payloads();
+  /// Evicts `e`'s share if a WAL record can give it back.
+  void evict_share(LogEntry& e);
+  /// This replica's share of log entry `slot`: the resident one, or the one
+  /// read back from its WAL record once evicted. An error means the record
+  /// could not be read back (disk damage).
+  StatusOr<CodedShare> own_share(Slot slot, const LogEntry& e);
+  /// Accepted entries from `from` on, shares included — what a promise
+  /// reports. Fails rather than omit a share it cannot read back.
+  StatusOr<std::vector<PromiseEntry>> promise_entries(Slot from);
+  /// Replaces `e`'s share, keeping the resident-bytes gauge in step.
+  void replace_share(LogEntry& e, CodedShare share);
+  /// Erases every log entry at or below `slot` (compaction).
+  void erase_log_through(Slot slot);
+  void add_resident_bytes(int64_t delta);
   DurationMicros election_timeout();
 
   NodeContext* ctx_;
@@ -449,11 +471,15 @@ class Replica final : public MessageHandler {
   Slot next_slot_ = 1;       // leader: next slot to assign
   Slot commit_index_ = 0;    // all slots <= this are committed
   Slot applied_index_ = 0;
-  // Monotone scan floors for maybe_drop_old_payloads: everything at or
-  // below a floor has already been stripped, so per-apply cache GC walks
-  // only newly aged-out slots instead of rescanning from log_.begin().
-  Slot payload_gc_floor_ = 0;
-  Slot share_gc_floor_ = 0;
+  // Monotone scan floor for maybe_drop_old_payloads: everything at or below
+  // it has already been stripped, so per-apply cache GC walks only newly
+  // aged-out slots instead of rescanning from log_.begin(). An entry whose
+  // record lands after the floor passed it is evicted when it lands.
+  Slot gc_floor_ = 0;
+  // Bumped by every WAL truncation: a record appended before one reports a
+  // position the truncation retires, so its landing must not record it.
+  uint64_t wal_truncations_ = 0;
+  uint64_t resident_share_bytes_ = 0;
 
   std::map<Slot, PendingProposal> pending_;
   // Chosen-but-not-yet-applied proposal callbacks: fired on apply so a
@@ -537,7 +563,8 @@ class Replica final : public MessageHandler {
     obs::CounterView catchup_entries_served, recoveries, catchup_bytes;
     obs::CounterView repair_bytes;  // share bytes fetched for repair/recovery
     obs::CounterView checkpoints, snapshot_installs, snapshot_bytes;
-    obs::CounterView share_gc_dropped;
+    obs::CounterView shares_evicted, share_readbacks;
+    obs::Gauge* resident_share_bytes = nullptr;
     obs::HistogramMetric* quorum_wait_us = nullptr;
     obs::HistogramMetric* commit_apply_us = nullptr;
     obs::HistogramMetric* commit_total_us = nullptr;

@@ -148,7 +148,9 @@ void Replica::on_catchup_rep(NodeId from, CatchupRepMsg msg) {
     if (e.applied) continue;
     if (e.share.vid != ce.share.vid) e.payload.clear();
     e.accepted = ce.ballot;
-    e.share = std::move(ce.share);
+    replace_share(e, std::move(ce.share));
+    e.durable = false;
+    e.wal_pos = {};
     e.committed = true;
     persist_slot(ce.slot, nullptr);
   }
@@ -178,16 +180,20 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
 
   m_.recoveries.inc();
   if (lit != log_.end() && lit->second.committed) {
-    const CodedShare& own = lit->second.share;
+    const CodedShare& own = lit->second.share;  // metadata outlives eviction
     rec.vid = own.vid;
     rec.vid_known = true;
     rec.x = own.x;
     rec.n = own.n;
     rec.code = own.code;
     rec.value_len = own.value_len;
-    if (!own.data.empty() || own.value_len == 0) {
-      // Seed our own share unless GC stripped it (empty data, nonzero len).
-      rec.shares[static_cast<int>(own.share_idx)] = Bytes(own.data.begin(), own.data.end());
+    auto data = own_share(slot, lit->second);
+    if (data.is_ok()) {
+      rec.shares[static_cast<int>(own.share_idx)] =
+          Bytes(data.value().data.begin(), data.value().data.end());
+    } else {
+      RSP_ERROR << "node " << ctx_->id() << " recovery of slot " << slot
+                << " without its own share: " << data.status().to_string();
     }
   }
   FetchShareReqMsg req;
@@ -237,13 +243,19 @@ void Replica::on_fetch_share_req(NodeId from, FetchShareReqMsg msg) {
   rep.epoch = cfg_.epoch;
   rep.slot = msg.slot;
   auto it = log_.find(msg.slot);
-  bool compacted = it != log_.end() && it->second.share.data.empty() &&
-                   it->second.share.value_len > 0;
-  if (it != log_.end() && !it->second.accepted.is_null() && !compacted) {
+  StatusOr<CodedShare> own = Status::not_found("slot not accepted here");
+  if (it != log_.end() && !it->second.accepted.is_null()) {
+    own = own_share(msg.slot, it->second);
+    if (!own.is_ok()) {
+      RSP_ERROR << "node " << ctx_->id() << " cannot serve share of slot " << msg.slot
+                << ": " << own.status().to_string();
+    }
+  }
+  if (own.is_ok()) {
     rep.have = true;
     rep.committed = it->second.committed;
     rep.accepted_ballot = it->second.accepted;
-    rep.share = it->second.share;
+    rep.share = std::move(own).value();
     rep.share.header.clear();  // header not needed for payload recovery
     if (msg.sub_mask != 0) {
       // Sub-share request (hh repair plans): serve only the masked
@@ -324,12 +336,12 @@ void Replica::on_fetch_share_rep(NodeId from, FetchShareRepMsg msg) {
     return;
   }
   SharedBytes value(std::move(payload).value());
-  // Cache for catch-up — but only above the payload GC floor: at or below
-  // it maybe_drop_old_payloads never looks again, so a cached value there
+  // Cache for catch-up — but only above the GC floor: at or below it
+  // maybe_drop_old_payloads never looks again, so a cached value there
   // would stay pinned until restart. Full-copy entries never cache (the
-  // share is the value; if it is gone, share GC dropped it on purpose).
+  // share is the value; if it is gone, it was evicted on purpose).
   auto lit = log_.find(slot);
-  if (lit != log_.end() && slot > payload_gc_floor_ && !lit->second.share.full_copy() &&
+  if (lit != log_.end() && slot > gc_floor_ && !lit->second.share.full_copy() &&
       lit->second.share.vid == vid) {
     lit->second.payload = value;
   }
@@ -373,12 +385,15 @@ void Replica::start_share_repair(Slot slot, NodeId requester, int target) {
   if (target < 0 || target >= pol.n()) return;
 
   const int my_idx = cfg_.index_of(ctx_->id());
+  StatusOr<CodedShare> own = Status::not_found("not a member");
+  if (my_idx >= 0 && static_cast<uint32_t>(my_idx) == e.share.share_idx) {
+    own = own_share(slot, e);
+  }
   const bool own_usable =
-      my_idx >= 0 && static_cast<uint32_t>(my_idx) == e.share.share_idx &&
-      e.share.data.size() == pol.share_size(e.share.value_len);
+      own.is_ok() && own.value().data.size() == pol.share_size(e.share.value_len);
   std::vector<int> live;
   for (int i = 0; i < pol.n(); ++i) {
-    if (i == my_idx && !own_usable) continue;  // our copy was GC'd
+    if (i == my_idx && !own_usable) continue;  // our copy is unreadable
     live.push_back(i);
   }
   ec::RepairPlan plan = pol.plan_repair(target, live, share_costs());
@@ -404,7 +419,7 @@ void Replica::start_share_repair(Slot slot, NodeId requester, int target) {
   for (const ec::ShareFetch& f : plan.fetches) {
     if (f.share_idx == my_idx && own_usable) {
       pr.fetched[f.share_idx] =
-          slice_sub_shares(e.share.data, pol.sub_shares(), sub, f.sub_mask);
+          slice_sub_shares(own.value().data, pol.sub_shares(), sub, f.sub_mask);
     }
   }
   PendingRepair& rep = repairs_[slot] = std::move(pr);

@@ -130,18 +130,32 @@ void Replica::save_own_fragment(snapshot::SnapshotManifest man, Bytes frag,
 void Replica::compact_log_below(Slot snap_slot, uint64_t ckpt_id) {
   // Rebuild the durable prefix: meta + config + snapshot marker + every live
   // accepted record above the barrier, then atomically swap it in for the old
-  // log (segment rotation + manifest commit + unlink underneath).
+  // log (segment rotation + manifest commit + unlink underneath). The swap
+  // retires every position the old log reported, so an evicted share above
+  // the barrier is read back first and stays resident until a later
+  // compaction erases its slot.
   std::vector<Bytes> head;
   head.push_back(encode_meta_record(promised_));
   head.push_back(encode_config_record(cfg_));
   head.push_back(encode_snap_marker(ckpt_id, snap_slot, next_slot_));
-  for (const auto& [slot, e] : log_) {
-    if (slot > snap_slot && !e.accepted.is_null()) {
-      head.push_back(encode_slot_record(slot, e.accepted, e.share));
+  for (auto it = log_.upper_bound(snap_slot); it != log_.end(); ++it) {
+    LogEntry& e = it->second;
+    if (e.accepted.is_null()) continue;
+    if (e.share_evicted()) {
+      auto own = own_share(it->first, e);
+      if (!own.is_ok()) {
+        RSP_ERROR << "node " << ctx_->id() << " keeps its log: slot " << it->first
+                  << " unreadable: " << own.status().to_string();
+        return;
+      }
+      replace_share(e, std::move(own).value());
     }
+    head.push_back(encode_slot_record(it->first, e.accepted, e.share));
   }
   wal_->truncate_prefix(std::move(head), nullptr);
-  log_.erase(log_.begin(), log_.upper_bound(snap_slot));
+  wal_truncations_++;
+  erase_log_through(snap_slot);
+  for (auto& [slot, e] : log_) e.wal_pos = {};
   // Retiring the prefix also retires its accept retransmissions: a straggler
   // that never acked these slots converges through InstallSnapshot now, not
   // through endless per-slot re-sends of superseded shares.

@@ -135,7 +135,7 @@ const SingleAcceptor::SlotState* SingleAcceptor::slot_state(Slot s) const {
 
 void SingleAcceptor::restore_from_wal() {
   slots_.clear();
-  wal_->replay([this](BytesView rec) {
+  wal_->replay([this](BytesView rec, storage::WalPos) {
     Slot s;
     SlotState st;
     if (decode_slot_record(rec, s, st).is_ok()) {
@@ -145,11 +145,12 @@ void SingleAcceptor::restore_from_wal() {
 }
 
 void SingleAcceptor::persist(Slot s, const SlotState& st, std::function<void()> then) {
-  wal_->append(encode_slot_record(s, st), [then = std::move(then)](Status status) {
-    if (status.is_ok()) then();
-    // On a storage failure the reply is simply never sent — the proposer
-    // retransmits, matching the lossy-message model.
-  });
+  wal_->append(encode_slot_record(s, st),
+               [then = std::move(then)](Status status, storage::WalPos) {
+                 if (status.is_ok()) then();
+                 // On a storage failure the reply is simply never sent — the
+                 // proposer retransmits, matching the lossy-message model.
+               });
 }
 
 SingleProposer::SingleProposer(NodeContext* ctx, GroupConfig cfg, Options opts)

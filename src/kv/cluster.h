@@ -64,8 +64,9 @@ struct SimClusterOptions {
   sim::DiskParams disk = sim::DiskParams::ssd();
   consensus::ReplicaOptions replica;
   KvServerOptions kv;
-  /// false: WALs account durable bytes but keep no records (no replay);
-  /// benchmarks that never restart servers use this to bound host memory.
+  /// false: WALs account durable bytes but keep no records (no replay, no
+  /// read-back, so the logs keep every share resident); benchmarks that
+  /// never restart servers use this to bound host memory.
   bool wal_retain = true;
   /// true: group g's deterministic initial leader campaigns on server
   /// g % num_servers (distinct leaders per shard); false: server 0 leads

@@ -160,6 +160,7 @@ void NodeHost::refresh_board(uint32_t reactor) {
     out += ",\"log_start\":" + std::to_string(r.log_start());
     out += ",\"snapshot_applied\":" + std::to_string(r.snapshot_applied());
     out += ",\"snapshot_checkpoint\":" + std::to_string(r.snapshot_checkpoint_id());
+    out += ",\"resident_share_bytes\":" + std::to_string(r.resident_share_bytes());
     out += ",\"state_ready\":" + json_bool(r.state_ready());
     out += ",\"lease_valid\":" + json_bool(r.lease_valid());
     out += ",\"wal_bytes\":" + std::to_string(wals_[reactor]->group_bytes_flushed(g / R));

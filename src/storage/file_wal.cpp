@@ -119,6 +119,10 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
+/// Frame payload handed to stream_segment's visitor, with the frame's byte
+/// offset in the segment.
+using FrameFn = std::function<void(BytesView payload, uint64_t frame_off)>;
+
 /// Streams the valid frame prefix of one segment file through `fn` (which may
 /// be null for a pure scan) using a rolling buffer — memory stays
 /// O(chunk + largest record). Returns the byte length of the valid prefix and
@@ -126,7 +130,7 @@ void fsync_parent_dir(const std::string& path) {
 /// no CRC mismatch). A missing file reads as empty and clean — after
 /// per-group reclamation the segment sequence may have holes.
 uint64_t stream_segment(const std::string& path,
-                        const std::function<void(BytesView)>* fn, bool* clean) {
+                        const FrameFn* fn, bool* clean) {
   *clean = true;
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return 0;
@@ -161,7 +165,7 @@ uint64_t stream_segment(const std::string& path,
         corrupt = true;
         break;
       }
-      if (fn) (*fn)(payload);
+      if (fn) (*fn)(payload, valid);
       pos += 8 + len;
       valid += 8 + len;
     }
@@ -278,7 +282,7 @@ StatusOr<std::unique_ptr<FileWal>> FileWal::open(const std::string& path,
   ScanState scan;
   for (uint64_t s = first_seq; s <= active_seq; ++s) {
     bool seg_clean = false;
-    std::function<void(BytesView)> index = [&](BytesView payload) {
+    FrameFn index = [&](BytesView payload, uint64_t) {
       if (payload.size() < 4) return;
       uint32_t gk = payload_gk(payload);
       uint32_t g = gk >> 1;
@@ -313,6 +317,8 @@ FileWal::FileWal(std::string path, int64_t window_us, size_t segment_bytes,
   group_counters_.reserve(num_groups_);
   for (uint32_t g = 0; g < num_groups_; ++g) {
     group_counters_.push_back(std::make_unique<GroupCounters>());
+    auto mit = live_.marker_seg.find(g);
+    if (mit != live_.marker_seg.end()) group_counters_[g]->marker_seg.store(mit->second);
   }
   // Finish any physical reclamation a pre-crash truncation committed but did
   // not complete, then start the flusher.
@@ -435,6 +441,8 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
   // Count bytes that actually hit the file: on a mid-batch failure the
   // prefix iovecs may have been written, and the counters should reflect
   // that rather than zero (callbacks still get the error status).
+  const uint64_t seg = active_seq_.load();
+  const uint64_t base_off = active_size_;
   bool synced = false;
   size_t wrote = io_->write_and_sync(fd_, iov, &synced);
   bool write_ok = wrote == nbytes && synced;
@@ -442,7 +450,6 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
   bytes_flushed_.fetch_add(wrote);
   flush_ops_.fetch_add(1);
   if (write_ok) {
-    uint64_t seg = active_seq_.load();
     for (const Pending& p : batch) {
       if (p.framed.empty()) continue;
       live_.seg_groups[seg].insert(p.group);
@@ -465,8 +472,12 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
     if (flush_observer_) flush_observer_(fsync_us);
   }
   Status st = write_ok ? Status::ok() : Status::internal("wal write/fsync failed");
+  uint64_t off = base_off;
   for (Pending& p : batch) {
-    if (p.cb && !drop_callbacks_.load()) p.cb(st);
+    WalPos pos;
+    if (write_ok) pos = WalPos{seg, off, p.framed.size()};
+    off += p.framed.size();
+    if (p.cb && !drop_callbacks_.load()) p.cb(st, pos);
   }
 }
 
@@ -549,6 +560,7 @@ void FileWal::do_truncate(Pending t) {
   live_.live_bytes[t.group] = marker.size();
   live_.marker_seg[t.group] = new_seq;
   live_.seg_groups[new_seq].insert(t.group);
+  if (t.group < group_counters_.size()) group_counters_[t.group]->marker_seg.store(new_seq);
   reclaim_segments();
 
   bytes_flushed_.fetch_add(wrote);
@@ -607,7 +619,7 @@ void FileWal::reclaim_segments() {
   }
 }
 
-void FileWal::replay(uint32_t g, const std::function<void(BytesView)>& fn) {
+void FileWal::replay(uint32_t g, const Wal::ReplayFn& fn) {
   // Pass 1: locate the group's newest durable marker (segment + ordinal
   // within the segment's valid prefix). Streams files only — no shared
   // mutable state, so replay is safe alongside the flusher as long as the
@@ -620,7 +632,7 @@ void FileWal::replay(uint32_t g, const std::function<void(BytesView)>& fn) {
   for (uint64_t s = first; s <= last; ++s) {
     uint64_t ord = 0;
     bool clean = false;
-    std::function<void(BytesView)> index = [&](BytesView payload) {
+    FrameFn index = [&](BytesView payload, uint64_t) {
       if (payload.size() >= 4) {
         uint32_t gk = payload_gk(payload);
         if ((gk & kGkMarkerBit) != 0 && (gk >> 1) == g) {
@@ -644,7 +656,7 @@ void FileWal::replay(uint32_t g, const std::function<void(BytesView)>& fn) {
   for (uint64_t s = found ? mseg : first; s <= last && !stop; ++s) {
     uint64_t ord = 0;
     bool clean = false;
-    std::function<void(BytesView)> emit = [&](BytesView payload) {
+    FrameFn emit = [&](BytesView payload, uint64_t frame_off) {
       uint64_t my = ord++;
       if (stop || payload.size() < 4) return;
       uint32_t gk = payload_gk(payload);
@@ -665,15 +677,49 @@ void FileWal::replay(uint32_t g, const std::function<void(BytesView)>& fn) {
             stop = true;
             return;
           }
-          fn(rec);
+          fn(rec, WalPos{});  // inside the marker frame: not addressable
         }
       } else {
-        fn(BytesView(payload.data() + 4, payload.size() - 4));
+        fn(BytesView(payload.data() + 4, payload.size() - 4),
+           WalPos{s, frame_off, 8 + payload.size()});
       }
     };
     stream_segment(seg_file(path_, s), &emit, &clean);
     if (!clean) break;
   }
+}
+
+StatusOr<Bytes> FileWal::read(uint32_t g, WalPos pos) const {
+  if (!pos.valid() || pos.len < 12) return Status::not_found("wal position not live");
+  if (g < group_counters_.size() && pos.seg < group_counters_[g]->marker_seg.load()) {
+    return Status::not_found("wal position truncated");
+  }
+  std::string sp = seg_file(path_, pos.seg);
+  int fd = ::open(sp.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::not_found("wal segment reclaimed");
+    return Status::internal("open(" + sp + "): " + std::strerror(errno));
+  }
+  Bytes frame(pos.len);
+  size_t got = 0;
+  while (got < frame.size()) {
+    ssize_t n = ::pread(fd, frame.data() + got, frame.size() - got,
+                        static_cast<off_t>(pos.off + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (got != frame.size()) return Status::corruption("wal read: short frame");
+  uint32_t len, crc;
+  std::memcpy(&len, frame.data(), 4);
+  std::memcpy(&crc, frame.data() + 4, 4);
+  BytesView payload(frame.data() + 8, frame.size() - 8);
+  if (len != payload.size() || crc32c(payload) != crc) {
+    return Status::corruption("wal read: frame crc mismatch");
+  }
+  if (payload_gk(payload) != g << 1) return Status::corruption("wal read: wrong group");
+  return Bytes(payload.begin() + 4, payload.end());
 }
 
 }  // namespace rspaxos::storage

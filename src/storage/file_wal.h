@@ -30,6 +30,13 @@
 // Open scans the active segment and ftruncates a torn/corrupt tail down to
 // the longest valid frame prefix, so a log that crashed mid-append keeps
 // accepting (and replaying) appends afterwards.
+//
+// A data record's position is its frame's (segment, offset, framed length).
+// read() preads exactly that frame from the calling thread — the bytes are
+// durable and segments are append-only, so it needs no lock against the
+// flusher — and checks its CRC and group key. Positions before the group's
+// newest marker read as not_found even while their segment is still pinned
+// by another group.
 #pragma once
 
 #include <atomic>
@@ -75,7 +82,8 @@ class FileWal final : public MuxWal {
   uint32_t num_groups() const override { return num_groups_; }
   void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
   void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
-  void replay(uint32_t g, const std::function<void(BytesView)>& fn) override;
+  void replay(uint32_t g, const Wal::ReplayFn& fn) override;
+  StatusOr<Bytes> read(uint32_t g, WalPos pos) const override;
   uint64_t group_bytes_flushed(uint32_t g) const override;
   uint64_t group_truncated_bytes(uint32_t g) const override;
   uint64_t flush_ops() const override { return flush_ops_.load(); }
@@ -150,6 +158,7 @@ class FileWal final : public MuxWal {
   struct GroupCounters {
     std::atomic<uint64_t> flushed{0};
     std::atomic<uint64_t> truncated{0};
+    std::atomic<uint64_t> marker_seg{0};  // newest marker's segment (read() floor)
   };
   std::vector<std::unique_ptr<GroupCounters>> group_counters_;  // size num_groups_
   std::thread flusher_;

@@ -79,6 +79,7 @@ void SimWal::maybe_flush() {
       uint64_t reclaimed = 0;
       for (const Bytes& r : gs.durable) reclaimed += r.size();
       gs.truncated += reclaimed;
+      gs.first_seq += gs.durable.size();
       gs.durable.clear();
       if (retain_) gs.durable = std::move(t.head);
       bytes_flushed_ += nbytes;
@@ -120,27 +121,43 @@ void SimWal::maybe_flush() {
     wm.fsync_us->observe(fsync_us);
     wm.batch_records->observe(static_cast<int64_t>(batch));
     if (flush_observer_) flush_observer_(fsync_us);
-    std::vector<Wal::DurableFn> cbs;
+    std::vector<std::pair<Wal::DurableFn, WalPos>> cbs;
     cbs.reserve(batch);
     for (size_t i = 0; i < batch; ++i) {
       Pending& p = staged_.front();
       GroupState& gs = groups_[p.group];
       gs.bytes_flushed += p.record.size();
-      if (retain_) gs.durable.push_back(std::move(p.record));
-      cbs.push_back(std::move(p.cb));
+      WalPos pos;
+      if (retain_) {
+        pos = WalPos{0, gs.first_seq + gs.durable.size()};
+        gs.durable.push_back(std::move(p.record));
+      }
+      cbs.emplace_back(std::move(p.cb), pos);
       staged_.pop_front();
     }
     flush_in_flight_ = false;
-    for (auto& cb : cbs) {
-      if (cb) cb(Status::ok());
+    for (auto& [cb, pos] : cbs) {
+      if (cb) cb(Status::ok(), pos);
     }
     maybe_flush();
   });
 }
 
-void SimWal::replay(uint32_t g, const std::function<void(BytesView)>& fn) {
+void SimWal::replay(uint32_t g, const Wal::ReplayFn& fn) {
   if (g >= groups_.size()) return;
-  for (const Bytes& r : groups_[g].durable) fn(r);
+  const GroupState& gs = groups_[g];
+  for (size_t i = 0; i < gs.durable.size(); ++i) {
+    fn(gs.durable[i], WalPos{0, gs.first_seq + i});
+  }
+}
+
+StatusOr<Bytes> SimWal::read(uint32_t g, WalPos pos) const {
+  if (g >= groups_.size() || !pos.valid()) return Status::not_found("wal position not live");
+  const GroupState& gs = groups_[g];
+  if (pos.off < gs.first_seq || pos.off - gs.first_seq >= gs.durable.size()) {
+    return Status::not_found("wal position not live");
+  }
+  return gs.durable[pos.off - gs.first_seq];
 }
 
 void SimWal::drop_unflushed() {

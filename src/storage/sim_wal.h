@@ -19,8 +19,11 @@ namespace rspaxos::storage {
 class SimWal final : public MuxWal {
  public:
   /// With retain_for_replay = false, durable records are accounted but not
-  /// kept in memory (replay returns nothing). Benchmarks that never restart
-  /// nodes use this to bound host memory on multi-GB runs.
+  /// kept in memory: replay returns nothing and appends report no position,
+  /// so nothing can be read back. Benchmarks that never restart nodes use
+  /// this to bound host memory on multi-GB runs. A retained record's
+  /// position is its sequence number within its group; read() serves it
+  /// without modelling a device read.
   explicit SimWal(sim::SimDisk* disk, bool retain_for_replay = true,
                   uint32_t num_groups = 1)
       : disk_(disk), retain_(retain_for_replay), groups_(num_groups) {}
@@ -33,7 +36,8 @@ class SimWal final : public MuxWal {
   uint32_t num_groups() const override { return static_cast<uint32_t>(groups_.size()); }
   void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
   void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
-  void replay(uint32_t g, const std::function<void(BytesView)>& fn) override;
+  void replay(uint32_t g, const Wal::ReplayFn& fn) override;
+  StatusOr<Bytes> read(uint32_t g, WalPos pos) const override;
   uint64_t group_bytes_flushed(uint32_t g) const override {
     return g < groups_.size() ? groups_[g].bytes_flushed : 0;
   }
@@ -53,6 +57,7 @@ class SimWal final : public MuxWal {
  private:
   struct GroupState {
     std::vector<Bytes> durable;
+    uint64_t first_seq = 0;  // sequence of durable[0]
     uint64_t bytes_flushed = 0;
     uint64_t truncated = 0;
   };

@@ -5,7 +5,8 @@
 // reply"), so the WAL append API is asynchronous and the callback fires only
 // once the record is durable. Group commit (§7, IO batching) is implemented
 // by the durable backends: appends arriving within a batching window share
-// one device flush.
+// one device flush. The callback also reports where the record landed, so a
+// caller can drop its in-memory copy and read the record back later.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +19,27 @@
 
 namespace rspaxos::storage {
 
+/// Where a durable record landed, as reported by the append callback and by
+/// replay; read(pos) returns that record. Meaningful only to the log that
+/// reported it. A record the log cannot address on its own has no position:
+/// FileWal's truncation head (it lives inside its marker frame) and every
+/// record of a SimWal that retains nothing.
+struct WalPos {
+  static constexpr uint64_t kNone = ~uint64_t{0};
+  uint64_t seg = kNone;  // FileWal: segment number; SimWal/MemWal: 0
+  uint64_t off = 0;      // FileWal: frame offset in the segment; else record sequence
+  uint64_t len = 0;      // FileWal: framed length; else 0
+
+  bool valid() const { return seg != kNone; }
+  bool operator==(const WalPos&) const = default;
+};
+
 /// Append-only durable record log with prefix truncation (log compaction).
 class Wal {
  public:
-  using DurableFn = std::function<void(Status)>;
+  /// Fires once the record is durable, with its position (none on error).
+  using DurableFn = std::function<void(Status, WalPos)>;
+  using ReplayFn = std::function<void(BytesView record, WalPos pos)>;
   /// Truncation completion: reclaimed (unlinked/forgotten) durable bytes.
   using TruncateFn = std::function<void(StatusOr<uint64_t>)>;
 
@@ -39,8 +57,15 @@ class Wal {
   /// head is durable and the old prefix is reclaimed.
   virtual void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) = 0;
 
-  /// Replays all durable records in append order (crash recovery).
-  virtual void replay(const std::function<void(BytesView)>& fn) = 0;
+  /// Replays all durable records in append order (crash recovery), each
+  /// with the position its append reported.
+  virtual void replay(const ReplayFn& fn) = 0;
+
+  /// The durable record at `pos`, a position this log reported. not_found
+  /// once a truncate_prefix has replaced it; corruption when its bytes no
+  /// longer match their CRC — never the damaged bytes. Safe to call from
+  /// the owner's context while appends are in flight.
+  virtual StatusOr<Bytes> read(WalPos pos) const = 0;
 
   /// Total bytes made durable — the paper's disk-I/O cost metric.
   virtual uint64_t bytes_flushed() const = 0;
@@ -71,7 +96,8 @@ class MuxWal {
   virtual void append(uint32_t g, Bytes record, Wal::DurableFn cb) = 0;
   virtual void truncate_prefix(uint32_t g, std::vector<Bytes> head,
                                Wal::TruncateFn cb) = 0;
-  virtual void replay(uint32_t g, const std::function<void(BytesView)>& fn) = 0;
+  virtual void replay(uint32_t g, const Wal::ReplayFn& fn) = 0;
+  virtual StatusOr<Bytes> read(uint32_t g, WalPos pos) const = 0;
   virtual uint64_t group_bytes_flushed(uint32_t g) const = 0;
   virtual uint64_t group_truncated_bytes(uint32_t g) const = 0;
   /// Device flushes are shared across groups, so the facades all report the
@@ -105,9 +131,8 @@ class GroupWalView final : public Wal {
   void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override {
     mux_->truncate_prefix(g_, std::move(head), std::move(cb));
   }
-  void replay(const std::function<void(BytesView)>& fn) override {
-    mux_->replay(g_, fn);
-  }
+  void replay(const ReplayFn& fn) override { mux_->replay(g_, fn); }
+  StatusOr<Bytes> read(WalPos pos) const override { return mux_->read(g_, pos); }
   uint64_t bytes_flushed() const override { return mux_->group_bytes_flushed(g_); }
   uint64_t flush_ops() const override { return mux_->flush_ops(); }
   uint64_t truncated_bytes() const override { return mux_->group_truncated_bytes(g_); }
@@ -118,22 +143,29 @@ class GroupWalView final : public Wal {
 };
 
 /// Instant in-memory WAL for protocol unit tests: records are "durable"
-/// immediately, callbacks fire inline.
+/// immediately, callbacks fire inline. A position is a record's sequence
+/// number; truncation retires every sequence before the new head.
 class MemWal final : public Wal {
  public:
   void append(Bytes record, DurableFn cb) override;
   void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override;
-  void replay(const std::function<void(BytesView)>& fn) override;
+  void replay(const ReplayFn& fn) override;
+  StatusOr<Bytes> read(WalPos pos) const override;
   uint64_t bytes_flushed() const override { return bytes_; }
   uint64_t flush_ops() const override { return records_.size(); }
   uint64_t truncated_bytes() const override { return truncated_; }
 
   /// Clears records (simulating disk loss — used by tests of the *unsafe*
   /// configurations; never by the protocol).
-  void wipe() { records_.clear(); bytes_ = 0; }
+  void wipe() {
+    first_seq_ += records_.size();
+    records_.clear();
+    bytes_ = 0;
+  }
 
  private:
   std::vector<Bytes> records_;
+  uint64_t first_seq_ = 0;  // sequence of records_[0]
   uint64_t bytes_ = 0;
   uint64_t truncated_ = 0;
 };

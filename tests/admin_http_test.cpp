@@ -207,6 +207,7 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   }
   EXPECT_NE(after.body.find("\"wal\":{"), std::string::npos);
   EXPECT_NE(after.body.find("\"bytes_flushed\":"), std::string::npos);
+  EXPECT_NE(after.body.find("\"resident_share_bytes\":"), std::string::npos) << after.body;
   // Reactor surface: count, backend, static placement, per-reactor WALs.
   EXPECT_NE(after.body.find("\"reactors\":2"), std::string::npos) << after.body;
   EXPECT_NE(after.body.find("\"io_backend\":\""), std::string::npos) << after.body;
@@ -221,6 +222,7 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(m.body.find("# TYPE rsp_"), std::string::npos);
   EXPECT_NE(m.body.find("group=\"0\""), std::string::npos);
   EXPECT_NE(m.body.find("group=\"1\""), std::string::npos);
+  EXPECT_NE(m.body.find("rsp_log_resident_share_bytes{"), std::string::npos);
   // Health + admission series are per-reactor now.
   EXPECT_NE(m.body.find("reactor=\"0\""), std::string::npos);
   EXPECT_NE(m.body.find("reactor=\"1\""), std::string::npos);

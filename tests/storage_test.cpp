@@ -26,15 +26,16 @@ namespace {
 using storage::FileWal;
 using storage::MemWal;
 using storage::SimWal;
+using storage::WalPos;
 
 TEST(MemWal, AppendAndReplayInOrder) {
   MemWal wal;
   int cbs = 0;
-  wal.append(to_bytes("a"), [&](Status s) { EXPECT_TRUE(s.is_ok()); cbs++; });
-  wal.append(to_bytes("b"), [&](Status s) { EXPECT_TRUE(s.is_ok()); cbs++; });
+  wal.append(to_bytes("a"), [&](Status s, WalPos) { EXPECT_TRUE(s.is_ok()); cbs++; });
+  wal.append(to_bytes("b"), [&](Status s, WalPos) { EXPECT_TRUE(s.is_ok()); cbs++; });
   EXPECT_EQ(cbs, 2);
   std::string out;
-  wal.replay([&](BytesView r) { out += to_string(r); });
+  wal.replay([&](BytesView r, WalPos) { out += to_string(r); });
   EXPECT_EQ(out, "ab");
   EXPECT_EQ(wal.bytes_flushed(), 2u);
 }
@@ -44,7 +45,7 @@ TEST(SimWal, CallbackFiresOnlyAfterDiskCompletes) {
   sim::SimDisk disk(&w, sim::DiskParams{100, 1e9});  // 10 ms/op
   SimWal wal(&disk);
   bool durable = false;
-  wal.group(0)->append(to_bytes("rec"), [&](Status) { durable = true; });
+  wal.group(0)->append(to_bytes("rec"), [&](Status, WalPos) { durable = true; });
   w.run_for(5 * kMillis);
   EXPECT_FALSE(durable);
   w.run_for(6 * kMillis);
@@ -59,7 +60,7 @@ TEST(SimWal, GroupCommitBatchesConcurrentAppends) {
   // First append starts a flush; the next 9 arrive while the device is busy
   // and must share the second flush: 2 flushes total, not 10.
   for (int i = 0; i < 10; ++i) {
-    wal.group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) { done++; });
+    wal.group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status, WalPos) { done++; });
   }
   w.run_to_completion();
   EXPECT_EQ(done, 10);
@@ -78,7 +79,7 @@ TEST(SimWal, ReplayReturnsOnlyDurableRecords) {
   wal.drop_unflushed();
   w.run_to_completion();
   std::string out;
-  wal.group(0)->replay([&](BytesView r) { out += to_string(r); });
+  wal.group(0)->replay([&](BytesView r, WalPos) { out += to_string(r); });
   EXPECT_EQ(out, "one");
 }
 
@@ -88,7 +89,7 @@ TEST(SimWal, LostAppendCallbackNeverFires) {
   SimWal wal(&disk);
   wal.group(0)->append(to_bytes("x"), nullptr);  // occupies the disk
   bool fired = false;
-  wal.group(0)->append(to_bytes("y"), [&](Status) { fired = true; });
+  wal.group(0)->append(to_bytes("y"), [&](Status, WalPos) { fired = true; });
   wal.drop_unflushed();
   w.run_to_completion();
   EXPECT_FALSE(fired);
@@ -111,13 +112,13 @@ TEST_F(FileWalTest, AppendSyncReplay) {
   ASSERT_TRUE(wal.is_ok());
   std::promise<void> done;
   wal.value()->group(0)->append(to_bytes("hello"), nullptr);
-  wal.value()->group(0)->append(to_bytes("world"), [&](Status s) {
+  wal.value()->group(0)->append(to_bytes("world"), [&](Status s, WalPos) {
     EXPECT_TRUE(s.is_ok());
     done.set_value();
   });
   done.get_future().wait();
   std::vector<std::string> records;
-  wal.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal.value()->group(0)->replay([&](BytesView r, WalPos) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], "hello");
   EXPECT_EQ(records[1], "world");
@@ -129,13 +130,14 @@ TEST_F(FileWalTest, SurvivesReopen) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->group(0)->append(to_bytes("persist-me"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("persist-me"),
+                                  [&](Status, WalPos) { done.set_value(); });
     done.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "persist-me");
 }
@@ -145,7 +147,7 @@ TEST_F(FileWalTest, TornTailRecordIgnored) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
-    wal.value()->group(0)->append(to_bytes("good"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("good"), [&](Status, WalPos) { done.set_value(); });
     done.get_future().wait();
   }
   // Simulate a crash mid-append: garbage partial frame at the tail.
@@ -160,7 +162,7 @@ TEST_F(FileWalTest, TornTailRecordIgnored) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "good");
 }
@@ -171,7 +173,7 @@ TEST_F(FileWalTest, CorruptRecordStopsReplay) {
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> done;
     wal.value()->group(0)->append(to_bytes("first"), nullptr);
-    wal.value()->group(0)->append(to_bytes("second"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("second"), [&](Status, WalPos) { done.set_value(); });
     done.get_future().wait();
   }
   // Flip a byte inside the second record's payload.
@@ -188,7 +190,7 @@ TEST_F(FileWalTest, CorruptRecordStopsReplay) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> records;
-  wal2.value()->group(0)->replay([&](BytesView r) { records.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) { records.push_back(to_string(r)); });
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "first");
 }
@@ -215,7 +217,7 @@ TEST_F(FileWalTest, VectoredBatchSingleFlushReplayByteIdentical) {
   std::atomic<int> done{0};
   std::promise<void> all;
   for (auto& rec : expected) {
-    wal.value()->group(0)->append(rec, [&](Status s) {
+    wal.value()->group(0)->append(rec, [&](Status s, WalPos) {
       EXPECT_TRUE(s.is_ok());
       if (++done == kRecords) all.set_value();
     });
@@ -230,7 +232,8 @@ TEST_F(FileWalTest, VectoredBatchSingleFlushReplayByteIdentical) {
   EXPECT_GE(snap.max(), kRecords / 2);  // some batch coalesced many records
 
   std::vector<Bytes> replayed;
-  wal.value()->group(0)->replay([&](BytesView r) { replayed.emplace_back(r.begin(), r.end()); });
+  wal.value()->group(0)->replay(
+      [&](BytesView r, WalPos) { replayed.emplace_back(r.begin(), r.end()); });
   ASSERT_EQ(replayed.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(replayed[i], expected[i]) << "record " << i << " not byte-identical";
@@ -247,7 +250,7 @@ TEST_F(FileWalTest, VectoredBatchBeyondIovMax) {
   for (int i = 0; i < kRecords; ++i) {
     Bytes rec(16);
     std::memcpy(rec.data(), &i, sizeof(i));
-    wal.value()->group(0)->append(std::move(rec), [&](Status s) {
+    wal.value()->group(0)->append(std::move(rec), [&](Status s, WalPos) {
       EXPECT_TRUE(s.is_ok());
       if (++done == kRecords) all.set_value();
     });
@@ -255,7 +258,7 @@ TEST_F(FileWalTest, VectoredBatchBeyondIovMax) {
   all.get_future().wait();
   EXPECT_LE(wal.value()->flush_ops(), 3u);
   int n = 0;
-  wal.value()->group(0)->replay([&](BytesView r) {
+  wal.value()->group(0)->replay([&](BytesView r, WalPos) {
     ASSERT_EQ(r.size(), 16u);
     int got;
     std::memcpy(&got, r.data(), sizeof(got));
@@ -274,7 +277,7 @@ TEST_F(FileWalTest, VectoredBatchTornTailStillDetected) {
     std::atomic<int> done{0};
     std::promise<void> all;
     for (int i = 0; i < kRecords; ++i) {
-      wal.value()->group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status) {
+      wal.value()->group(0)->append(Bytes(100, static_cast<uint8_t>(i)), [&](Status, WalPos) {
         if (++done == kRecords) all.set_value();
       });
     }
@@ -292,7 +295,7 @@ TEST_F(FileWalTest, VectoredBatchTornTailStillDetected) {
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   int n = 0;
-  wal2.value()->group(0)->replay([&](BytesView r) {
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) {
     EXPECT_EQ(r.size(), 100u);
     ++n;
   });
@@ -311,13 +314,15 @@ TEST_F(FileWalTest, ReplayStreamsLargeRecords) {
     std::promise<void> done;
     wal.value()->group(0)->append(to_bytes("small-before"), nullptr);
     wal.value()->group(0)->append(big, nullptr);
-    wal.value()->group(0)->append(to_bytes("small-after"), [&](Status) { done.set_value(); });
+    wal.value()->group(0)->append(to_bytes("small-after"),
+                                  [&](Status, WalPos) { done.set_value(); });
     done.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<Bytes> records;
-  wal2.value()->group(0)->replay([&](BytesView r) { records.emplace_back(r.begin(), r.end()); });
+  wal2.value()->group(0)->replay(
+      [&](BytesView r, WalPos) { records.emplace_back(r.begin(), r.end()); });
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(to_string(records[0]), "small-before");
   EXPECT_EQ(records[1], big);
@@ -330,7 +335,7 @@ TEST_F(FileWalTest, GroupCommitWindowBatchesAppends) {
   std::atomic<int> done{0};
   std::promise<void> all;
   for (int i = 0; i < 20; ++i) {
-    wal.value()->group(0)->append(Bytes(10, static_cast<uint8_t>(i)), [&](Status) {
+    wal.value()->group(0)->append(Bytes(10, static_cast<uint8_t>(i)), [&](Status, WalPos) {
       if (++done == 20) all.set_value();
     });
   }
@@ -351,7 +356,7 @@ TEST_F(FileWalTest, TornTailRepairAtEveryByteOffset) {
     std::promise<void> done;
     for (size_t i = 0; i < recs.size(); ++i) {
       wal.value()->group(0)->append(to_bytes(recs[i]),
-                          i + 1 == recs.size() ? [&](Status) { done.set_value(); }
+                          i + 1 == recs.size() ? [&](Status, WalPos) { done.set_value(); }
                                                : storage::Wal::DurableFn{});
     }
     done.get_future().wait();
@@ -377,18 +382,18 @@ TEST_F(FileWalTest, TornTailRepairAtEveryByteOffset) {
     auto wal = FileWal::open(path_.string(), 0);
     ASSERT_TRUE(wal.is_ok());
     std::vector<std::string> got;
-    wal.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
+    wal.value()->group(0)->replay([&](BytesView r, WalPos) { got.push_back(to_string(r)); });
     ASSERT_EQ(got.size(), recs.size() - 1);
     for (size_t i = 0; i + 1 < recs.size(); ++i) EXPECT_EQ(got[i], recs[i]);
     // The repaired log must keep accepting appends.
     std::promise<void> done;
-    wal.value()->group(0)->append(to_bytes("recovered"), [&](Status s) {
+    wal.value()->group(0)->append(to_bytes("recovered"), [&](Status s, WalPos) {
       EXPECT_TRUE(s.is_ok());
       done.set_value();
     });
     done.get_future().wait();
     got.clear();
-    wal.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
+    wal.value()->group(0)->replay([&](BytesView r, WalPos) { got.push_back(to_string(r)); });
     ASSERT_EQ(got.size(), recs.size());
     EXPECT_EQ(got.back(), "recovered");
   }
@@ -403,7 +408,7 @@ TEST_F(FileWalTest, TruncatePrefixRotatesUnlinksAndSurvivesReopen) {
     ASSERT_TRUE(wal.is_ok());
     std::promise<void> flushed;
     for (int i = 0; i < 8; ++i) wal.value()->group(0)->append(Bytes(1024, uint8_t(i)), nullptr);
-    wal.value()->group(0)->append(to_bytes("tail"), [&](Status) { flushed.set_value(); });
+    wal.value()->group(0)->append(to_bytes("tail"), [&](Status, WalPos) { flushed.set_value(); });
     flushed.get_future().wait();
     uint64_t seg_before = wal.value()->active_segment();
 
@@ -425,13 +430,13 @@ TEST_F(FileWalTest, TruncatePrefixRotatesUnlinksAndSurvivesReopen) {
     }
     std::promise<void> appended;
     wal.value()->group(0)->append(to_bytes("after-truncate"),
-                                  [&](Status) { appended.set_value(); });
+                                  [&](Status, WalPos) { appended.set_value(); });
     appended.get_future().wait();
   }
   auto wal2 = FileWal::open(path_.string(), 0);
   ASSERT_TRUE(wal2.is_ok());
   std::vector<std::string> got;
-  wal2.value()->group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) { got.push_back(to_string(r)); });
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], "head-1");
   EXPECT_EQ(got[1], "head-2");
@@ -449,7 +454,7 @@ TEST_F(FileWalTest, SegmentRotationReplaysAcrossSegments) {
     for (int i = 0; i < 16; ++i) {
       std::promise<void> done;
       wal.value()->group(0)->append(Bytes(1024, static_cast<uint8_t>('a' + i)),
-                          [&](Status) { done.set_value(); });
+                          [&](Status, WalPos) { done.set_value(); });
       done.get_future().wait();
     }
     EXPECT_GT(wal.value()->active_segment(), 0u);
@@ -457,7 +462,7 @@ TEST_F(FileWalTest, SegmentRotationReplaysAcrossSegments) {
   auto wal2 = FileWal::open(path_.string(), 0, 4096);
   ASSERT_TRUE(wal2.is_ok());
   int i = 0;
-  wal2.value()->group(0)->replay([&](BytesView r) {
+  wal2.value()->group(0)->replay([&](BytesView r, WalPos) {
     ASSERT_EQ(r.size(), 1024u);
     EXPECT_EQ(r[0], static_cast<uint8_t>('a' + i));
     ++i;
@@ -482,7 +487,7 @@ TEST(SimWalTruncate, BarrierReplacesPrefixAndCountsBytes) {
   EXPECT_EQ(reclaimed, 1000u);
   EXPECT_EQ(wal.group(0)->truncated_bytes(), 1000u);
   std::vector<std::string> got;
-  wal.group(0)->replay([&](BytesView r) { got.push_back(to_string(r)); });
+  wal.group(0)->replay([&](BytesView r, WalPos) { got.push_back(to_string(r)); });
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], "head");
   EXPECT_EQ(got[1], "after");

@@ -7,7 +7,9 @@
 //    are encoded on the worker pool, and the payload buffer the worker reads
 //    is the one the log entry and KV row keep. Round-trips 64 KiB values at
 //    θ(3,5), across a leader change whose successor must recover the old
-//    values from shares.
+//    values from shares;
+//  - shares evicted behind the horizon come back from the FileWal: a
+//    recovery read of an evicted 64 KiB value across a leader transfer.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -203,6 +205,77 @@ TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
   }
   EXPECT_GE(cluster->server(second, 0)->stats().recovery_reads, 1u)
       << "the new leader never decoded an old value";
+
+  c.quiesce();
+  cluster.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TcpLifetime, EvictedLargeValueRecoveredFromFileWalAcrossLeaderTransfer) {
+  auto dir = fresh_dir("evicted");
+  node::TcpClusterOptions opts = base_options(dir, 5);
+  opts.ec_pool_threads = 2;
+  opts.replica.payload_cache_slots = 4;
+  const size_t kLen = consensus::kEcAsyncMinBytes;
+  constexpr int kKeys = 4;
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto cluster = std::move(started).value();
+  ASSERT_TRUE(wait_for([&] { return cluster->leader_server_of(0) >= 0; },
+                       std::chrono::seconds(30)));
+  const int first = cluster->leader_server_of(0);
+
+  auto cnode = cluster->start_client();
+  ASSERT_TRUE(cnode.is_ok()) << cnode.status().to_string();
+  kv::KvClient::Options copts;
+  copts.request_timeout = 2000 * kMillis;
+  copts.max_attempts = 100;
+  Client c(cnode.value(), cluster->routing(), copts);
+
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(c.put("big" + std::to_string(i), pattern(i, 0, kLen)).is_ok()) << i;
+  }
+  // Push the big values well behind every replica's horizon.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(c.put("small" + std::to_string(i % 4), pattern(i, 2, 64)).is_ok()) << i;
+  }
+  auto total = [&](auto field) {
+    uint64_t n = 0;
+    for (int s = 0; s < opts.num_servers; ++s) {
+      n += field(cluster->server(s, 0)->replica().stats());
+    }
+    return n;
+  };
+  ASSERT_TRUE(wait_for(
+      [&] {
+        return total([](const consensus::ReplicaStats& st) { return st.shares_evicted; }) >=
+               static_cast<uint64_t>(opts.num_servers * kKeys);
+      },
+      std::chrono::seconds(30)))
+      << "the big values' shares were never evicted";
+
+  const int target = (first + 1) % opts.num_servers;
+  cluster->endpoint(first, 0)->loop().post([&cluster, first, target] {
+    cluster->server(first, 0)->replica().transfer_leadership(net::endpoint_id(target, 0));
+  });
+  ASSERT_TRUE(wait_for(
+      [&] {
+        int l = cluster->leader_server_of(0);
+        return l >= 0 && l != first;
+      },
+      std::chrono::seconds(30)))
+      << "leadership never moved";
+  const int second = cluster->leader_server_of(0);
+
+  for (int i = 0; i < kKeys; ++i) {
+    auto got = c.get("big" + std::to_string(i));
+    ASSERT_TRUE(got.is_ok()) << i << ": " << got.status().to_string();
+    EXPECT_EQ(got.value(), pattern(i, 0, kLen)) << i;
+  }
+  EXPECT_GE(cluster->server(second, 0)->stats().recovery_reads, 1u)
+      << "the new leader never decoded an old value";
+  EXPECT_GT(total([](const consensus::ReplicaStats& st) { return st.share_readbacks; }), 0u)
+      << "no evicted share was read back from a WAL";
 
   c.quiesce();
   cluster.reset();

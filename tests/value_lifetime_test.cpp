@@ -1,12 +1,15 @@
 // Value lifetime (DESIGN.md §15): a value has one resident buffer per
 // replica. The log entry's share, its cached payload and the KV row that
 // stores the value are handles on the same immutable allocation, checked here
-// by pointer identity; and a recovery read of an old slot must not leave a
-// cached payload below the GC floor, where nothing would ever drop it.
+// by pointer identity; a recovery read of an old slot must not leave a
+// cached payload below the GC floor, where nothing would ever drop it; and
+// behind the horizon the log holds no value buffer at all, yet every
+// protocol path still gets the evicted shares back from the WALs.
 #include <gtest/gtest.h>
 
 #include <optional>
 
+#include "ec/policy.h"
 #include "kv/cluster.h"
 
 namespace rspaxos::kv {
@@ -54,6 +57,17 @@ struct LifetimeFixture {
     }
     ASSERT_TRUE(run_until([&] { return done == count; }));
     world.run_for(300 * kMillis);  // commits reach every follower
+  }
+
+  /// One put at a time, so each takes its own log slot.
+  void put_each(const std::string& prefix, int count, size_t len, uint8_t seed) {
+    for (int i = 0; i < count; ++i) {
+      std::optional<Status> out;
+      client->put(prefix + std::to_string(i), Bytes(len + i, static_cast<uint8_t>(seed + i)),
+                  [&](Status s) { out = s; });
+      ASSERT_TRUE(run_until([&] { return out.has_value(); }));
+      ASSERT_TRUE(out->is_ok()) << out->to_string();
+    }
   }
 
   Bytes get(const std::string& key) {
@@ -161,6 +175,105 @@ TEST(ValueLifetime, RecoveredPayloadsBelowTheGcFloorAreNotCached) {
     }
   }
 }
+
+/// On every live server, no log entry at or below the horizon holds a value
+/// buffer: neither a share nor a cached payload. A superseded value therefore
+/// has no holder left at all; a live one only its KV row.
+void expect_nothing_resident_behind_horizon(SimCluster& cluster, int servers,
+                                            uint64_t horizon) {
+  for (int s = 0; s < servers; ++s) {
+    if (!cluster.server_alive(s)) continue;
+    const consensus::Replica& r = cluster.server(s, 0)->replica();
+    ASSERT_GT(r.last_applied(), horizon) << "server " << s;
+    const consensus::Slot floor = r.last_applied() - horizon;
+    for (consensus::Slot slot = r.log_start(); slot <= floor; ++slot) {
+      auto bufs = r.entry_buffers_for_test(slot);
+      EXPECT_EQ(bufs.share, nullptr) << "server " << s << " slot " << slot;
+      EXPECT_EQ(bufs.payload, nullptr) << "server " << s << " slot " << slot;
+    }
+    EXPECT_GT(r.stats().shares_evicted, 0u) << "server " << s;
+  }
+}
+
+class Eviction : public ::testing::TestWithParam<int> {};
+
+TEST_P(Eviction, EvictedSharesServeCatchupAndRecoveryReads) {
+  constexpr uint64_t kHorizon = 8;
+  const int servers = GetParam();
+  LifetimeFixture f(servers, kHorizon);
+  f.put_each("old", 6, 3000, 0x40);
+
+  // A follower misses everything from here on, well past the horizon, while
+  // the others overwrite a small key set (superseding most of what they log).
+  const int leader = f.cluster.leader_server_of(0);
+  ASSERT_GE(leader, 0);
+  const int lagging = (leader + 1) % servers;
+  std::set<NodeId> rest;
+  for (int s = 0; s < servers; ++s) {
+    if (s != lagging) rest.insert(endpoint_id(s, 0));
+  }
+  f.cluster.network().partition({endpoint_id(lagging, 0)}, rest);
+  for (int round = 0; round < 4; ++round) {
+    f.put_each("hot", 10, 2000 + 100 * round, static_cast<uint8_t>(round * 16));
+  }
+  f.cluster.network().heal_partitions();
+  const consensus::Replica& lead = f.cluster.server(leader, 0)->replica();
+  const consensus::Replica& lag = f.cluster.server(lagging, 0)->replica();
+  ASSERT_TRUE(f.run_until([&] { return lag.last_applied() >= lead.last_applied(); }));
+  f.world.run_for(300 * kMillis);  // caught-up records land, then evict
+  expect_nothing_resident_behind_horizon(f.cluster, servers, kHorizon);
+
+  // The follower applied exactly what the leader holds: the full value in
+  // full-copy mode, otherwise the share the leader's value encodes to.
+  const consensus::GroupConfig& cfg = lag.config();
+  const ec::EcPolicy& code = ec::PolicyCache::get(cfg.code, cfg.x, cfg.n());
+  const int lag_idx = cfg.index_of(endpoint_id(lagging, 0));
+  size_t compared = 0;
+  f.cluster.server(leader, 0)->store().for_each(
+      [&](const std::string& key, const LocalStore::Record& want) {
+        ASSERT_TRUE(want.complete) << key;
+        const LocalStore::Record* got = f.cluster.server(lagging, 0)->store().find(key);
+        ASSERT_NE(got, nullptr) << key;
+        ++compared;
+        if (got->complete) {
+          EXPECT_TRUE(std::equal(got->value().begin(), got->value().end(),
+                                 want.value().begin(), want.value().end()))
+              << key;
+        } else {
+          EXPECT_EQ(Bytes(got->data.begin(), got->data.end()),
+                    code.encode_share(want.data, lag_idx))
+              << key;
+        }
+      });
+  EXPECT_EQ(compared, 16u);
+
+  auto readbacks = [&] {
+    uint64_t n = 0;
+    for (int s = 0; s < servers; ++s) {
+      if (f.cluster.server_alive(s)) n += f.cluster.server(s, 0)->replica().stats().share_readbacks;
+    }
+    return n;
+  };
+  EXPECT_GT(readbacks(), 0u) << "catch-up past the horizon reads shares back";
+
+  // Recovery reads after a leader crash: the "old" keys were last written
+  // far behind every horizon, so at θ(3,5) the new leader decodes shares
+  // that it and its peers read back from their WALs.
+  ASSERT_GE(f.fail_over(), 0);
+  const uint64_t before = readbacks();
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(f.get("old" + std::to_string(i)), Bytes(3000 + i, static_cast<uint8_t>(0x40 + i)))
+        << "old" << i;
+  }
+  if (servers == 5) {
+    EXPECT_GT(readbacks(), before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Theta, Eviction, ::testing::Values(3, 5),
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return p.param == 3 ? std::string("x1_n3") : std::string("x3_n5");
+                         });
 
 }  // namespace
 }  // namespace rspaxos::kv

@@ -2,7 +2,9 @@
 // implementations and must agree on the observable contract —
 // append/replay ordering, per-group truncate_prefix semantics, crash
 // (torn-tail) behaviour, and fsync amortization across groups — even though
-// one is a real segmented file and the other a simulated device.
+// one is a real segmented file and the other a simulated device. A second
+// suite holds them, and MemWal, to the read-back contract: a reported
+// position reads back exactly its record until a truncation retires it.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -35,12 +37,16 @@ class WalHarness {
 
   virtual storage::MuxWal& mux() = 0;
 
-  void append(uint32_t g, Bytes rec) {
+  /// Returns where the record landed, filled in once it is durable.
+  std::shared_ptr<storage::WalPos> append(uint32_t g, Bytes rec) {
     issued_++;
-    mux().append(g, std::move(rec), [this](Status s) {
+    auto pos = std::make_shared<storage::WalPos>();
+    mux().append(g, std::move(rec), [this, pos](Status s, storage::WalPos at) {
       EXPECT_TRUE(s.is_ok()) << s.message();
+      *pos = at;
       completed_++;
     });
+    return pos;
   }
 
   /// Issues the truncation, drives to completion, returns reclaimed bytes.
@@ -58,9 +64,19 @@ class WalHarness {
 
   std::vector<std::string> replayed(uint32_t g) {
     std::vector<std::string> out;
-    mux().replay(g, [&](BytesView r) { out.push_back(to_string(r)); });
+    mux().replay(g, [&](BytesView r, storage::WalPos) { out.push_back(to_string(r)); });
     return out;
   }
+
+  std::vector<storage::WalPos> replayed_positions(uint32_t g) {
+    std::vector<storage::WalPos> out;
+    mux().replay(g, [&](BytesView, storage::WalPos pos) { out.push_back(pos); });
+    return out;
+  }
+
+  /// Flips one byte inside the frame at `pos`; false where the backend keeps
+  /// no on-disk frames.
+  virtual bool corrupt(storage::WalPos) { return false; }
 
   /// Blocks until every op issued through the harness is durable.
   virtual void drive() = 0;
@@ -77,7 +93,8 @@ class WalHarness {
 
 class FileWalHarness final : public WalHarness {
  public:
-  FileWalHarness() {
+  explicit FileWalHarness(size_t segment_bytes = storage::FileWal::kDefaultSegmentBytes)
+      : segment_bytes_(segment_bytes) {
     path_ = (std::filesystem::temp_directory_path() /
              ("rspaxos_wal_conf_" + std::to_string(::getpid()) + "_" +
               std::to_string(counter_++)))
@@ -127,16 +144,30 @@ class FileWalHarness final : public WalHarness {
     open();
   }
 
+  bool corrupt(storage::WalPos pos) override {
+    drive();
+    FILE* f = std::fopen(wal_->segment_path(pos.seg).c_str(), "r+b");
+    if (f == nullptr) return false;
+    long at = static_cast<long>(pos.off + pos.len - 1);  // last payload byte
+    std::fseek(f, at, SEEK_SET);
+    int c = std::fgetc(f);
+    std::fseek(f, at, SEEK_SET);
+    std::fputc(c ^ 0x5a, f);
+    std::fclose(f);
+    return true;
+  }
+
  private:
   void open() {
     // A short real batching window so cross-group amortization is observable.
-    auto w = storage::FileWal::open(path_, /*group_commit_window_us=*/5000,
-                                    storage::FileWal::kDefaultSegmentBytes, kGroups);
+    auto w = storage::FileWal::open(path_, /*group_commit_window_us=*/5000, segment_bytes_,
+                                    kGroups);
     ASSERT_TRUE(w.is_ok()) << w.status().message();
     wal_ = std::move(w).value();
   }
 
   static inline std::atomic<int> counter_{0};
+  size_t segment_bytes_;
   std::string path_;
   std::unique_ptr<storage::FileWal> wal_;
 };
@@ -157,7 +188,7 @@ class SimWalHarness final : public WalHarness {
   void crash_mid_append(uint32_t g, Bytes lost) override {
     drive();
     wal_.append(g, std::move(lost),
-                [](Status) { FAIL() << "lost record's callback fired"; });
+                [](Status, storage::WalPos) { FAIL() << "lost record's callback fired"; });
     issued_++;
     completed_++;  // the callback must never fire; keep drive() balanced
     wal_.drop_unflushed();
@@ -192,7 +223,8 @@ TEST_P(WalConformance, GroupsReplayIndependently) {
   EXPECT_EQ(h_->replayed(3), (std::vector<std::string>{"g3-1"}));
   // The group() facade is the same log viewed through the Wal interface.
   std::vector<std::string> via_view;
-  h_->mux().group(1)->replay([&](BytesView r) { via_view.push_back(to_string(r)); });
+  h_->mux().group(1)->replay(
+      [&](BytesView r, storage::WalPos) { via_view.push_back(to_string(r)); });
   EXPECT_EQ(via_view, h_->replayed(1));
   EXPECT_EQ(h_->mux().group(kGroups), nullptr);
 }
@@ -309,6 +341,159 @@ INSTANTIATE_TEST_SUITE_P(
                       })),
     [](const ::testing::TestParamInfo<HarnessFactory>& info) {
       return info.index == 0 ? "FileWal" : "SimWal";
+    });
+
+// ---------------------------------------------------------------------------
+// Read-back: the position an append reports names exactly that record.
+// ---------------------------------------------------------------------------
+
+/// MemWal is a single-group Wal; this gives it the MuxWal face the harness
+/// drives, one MemWal per group.
+class MemMux final : public storage::MuxWal {
+ public:
+  uint32_t num_groups() const override { return kGroups; }
+  void append(uint32_t g, Bytes record, storage::Wal::DurableFn cb) override {
+    logs_[g].append(std::move(record), std::move(cb));
+  }
+  void truncate_prefix(uint32_t g, std::vector<Bytes> head,
+                       storage::Wal::TruncateFn cb) override {
+    logs_[g].truncate_prefix(std::move(head), std::move(cb));
+  }
+  void replay(uint32_t g, const storage::Wal::ReplayFn& fn) override { logs_[g].replay(fn); }
+  StatusOr<Bytes> read(uint32_t g, storage::WalPos pos) const override {
+    return logs_[g].read(pos);
+  }
+  uint64_t group_bytes_flushed(uint32_t g) const override { return logs_[g].bytes_flushed(); }
+  uint64_t group_truncated_bytes(uint32_t g) const override {
+    return logs_[g].truncated_bytes();
+  }
+  uint64_t flush_ops() const override { return 0; }
+  uint64_t bytes_flushed() const override { return 0; }
+  void set_flush_observer(std::function<void(int64_t)>) override {}
+
+ private:
+  storage::MemWal logs_[kGroups];
+};
+
+class MemWalHarness final : public WalHarness {
+ public:
+  storage::MuxWal& mux() override { return wal_; }
+  void drive() override { EXPECT_EQ(completed_.load(), issued_.load()); }
+  // MemWal records are durable the moment they are appended: nothing is
+  // ever in flight to lose, and nothing is lost across a "restart".
+  void crash_mid_append(uint32_t, Bytes) override {}
+  void restart() override {}
+
+ private:
+  MemMux wal_;
+};
+
+class WalReadBack : public WalConformance {
+ protected:
+  /// Appends `rounds` batches of `per_round` records to `g`, each batch made
+  /// durable before the next (so FileWal's 4 KiB segments rotate between
+  /// them). Returns every record with where it landed.
+  std::vector<std::pair<Bytes, std::shared_ptr<storage::WalPos>>> fill(uint32_t g, int rounds,
+                                                                       int per_round) {
+    std::vector<std::pair<Bytes, std::shared_ptr<storage::WalPos>>> out;
+    for (int r = 0; r < rounds; ++r) {
+      for (int i = 0; i < per_round; ++i) {
+        size_t n = out.size();
+        Bytes rec(200 + 97 * n, static_cast<uint8_t>(n * 31 + g));
+        rec[0] = static_cast<uint8_t>(n);
+        out.emplace_back(rec, h_->append(g, rec));
+      }
+      h_->drive();
+    }
+    return out;
+  }
+};
+
+TEST_P(WalReadBack, EveryPositionReadsBackItsRecord) {
+  auto recs = fill(0, 6, 3);
+  for (const auto& [rec, pos] : recs) {
+    ASSERT_TRUE(pos->valid());
+    auto got = h_->mux().read(0, *pos);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got.value(), rec);
+    // The group() facade reads the same record.
+    auto via_view = h_->mux().group(0)->read(*pos);
+    ASSERT_TRUE(via_view.is_ok());
+    EXPECT_EQ(via_view.value(), rec);
+  }
+  if (dynamic_cast<storage::FileWal*>(&h_->mux()) != nullptr) {
+    EXPECT_GT(h_->mux().active_segment(), 2u) << "records should span rotated segments";
+  }
+}
+
+TEST_P(WalReadBack, ReplayReportsTheAppendPositions) {
+  auto recs = fill(1, 4, 3);
+  h_->restart();
+  std::vector<storage::WalPos> want;
+  for (const auto& [rec, pos] : recs) want.push_back(*pos);
+  EXPECT_EQ(h_->replayed_positions(1), want);
+  for (const auto& [rec, pos] : recs) {
+    auto got = h_->mux().read(1, *pos);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got.value(), rec);
+  }
+}
+
+TEST_P(WalReadBack, TruncatedPositionsReadAsNotFound) {
+  auto old = fill(0, 4, 3);
+  h_->truncate(0, {to_bytes("head")});
+  if (dynamic_cast<storage::FileWal*>(&h_->mux()) != nullptr) {
+    EXPECT_GT(h_->mux().first_segment(), 0u) << "the old segments should be reclaimed";
+  }
+  for (const auto& [rec, pos] : old) {
+    auto got = h_->mux().read(0, *pos);
+    EXPECT_EQ(got.status().code(), Code::kNotFound) << got.status().to_string();
+  }
+  auto after = h_->append(0, to_bytes("after"));
+  h_->drive();
+  auto got = h_->mux().read(0, *after);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(to_string(got.value()), "after");
+}
+
+TEST_P(WalReadBack, TruncationRetiresOnlyThatGroupsPositions) {
+  auto g0 = h_->append(0, Bytes(300, 1));
+  auto g1 = h_->append(1, to_bytes("keep-me"));
+  h_->drive();
+  h_->truncate(0, {to_bytes("head")});
+  EXPECT_EQ(h_->mux().read(0, *g0).status().code(), Code::kNotFound);
+  auto got = h_->mux().read(1, *g1);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(to_string(got.value()), "keep-me");
+}
+
+TEST_P(WalReadBack, FlippedByteReadsAsCrcErrorNeverTheBytes) {
+  auto recs = fill(2, 2, 3);
+  const auto& victim = *recs[2].second;
+  if (!h_->corrupt(victim)) GTEST_SKIP() << "backend keeps no on-disk frames";
+  auto bad = h_->mux().read(2, victim);
+  EXPECT_EQ(bad.status().code(), Code::kCorruption) << bad.status().to_string();
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (i == 2) continue;
+    auto got = h_->mux().read(2, *recs[i].second);
+    ASSERT_TRUE(got.is_ok()) << i << ": " << got.status().to_string();
+    EXPECT_EQ(got.value(), recs[i].first);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, WalReadBack,
+    ::testing::Values(HarnessFactory([]() -> std::unique_ptr<WalHarness> {
+                        return std::make_unique<FileWalHarness>(4096);
+                      }),
+                      HarnessFactory([]() -> std::unique_ptr<WalHarness> {
+                        return std::make_unique<SimWalHarness>();
+                      }),
+                      HarnessFactory([]() -> std::unique_ptr<WalHarness> {
+                        return std::make_unique<MemWalHarness>();
+                      })),
+    [](const ::testing::TestParamInfo<HarnessFactory>& info) {
+      return std::string(info.index == 0 ? "FileWal" : info.index == 1 ? "SimWal" : "MemWal");
     });
 
 }  // namespace
