@@ -571,14 +571,14 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
 
   // Send coded accepts to followers immediately; count ourselves only after
   // our own share is durable (same rule as every acceptor). Each follower
-  // gets its own "net_accept" span, opened here and closed by the receiving
-  // acceptor (the global tracer spans the whole process).
+  // gets its own "net_accept:<id>" span, opened here and closed by the
+  // receiving acceptor (the tracer joins the two halves when it is read).
   for (NodeId m : cfg_.members) {
     if (m == ctx_->id()) continue;
     int midx = cfg_.index_of(m);
     if (midx >= 0 && static_cast<size_t>(midx) < pp.net_spans.size()) {
       pp.net_spans[static_cast<size_t>(midx)] =
-          tracer.start_span(commit_span, "net_accept:" + std::to_string(m), ctx_->id(),
+          tracer.start_span(commit_span, {"net_accept", m}, ctx_->id(),
                             static_cast<int64_t>(ctx_->now()));
     }
     send_accept_to(m, pp);

@@ -49,7 +49,7 @@ void add_shared_admin_routes(obs::AdminServer* admin, const NodeHost* host) {
   admin->route("/traces/recent", [](const obs::AdminRequest& req) {
     obs::AdminResponse r;
     r.content_type = "application/json";
-    r.body = req.query == "slow" ? obs::Tracer::global().slow_json(32)
+    r.body = req.query == "slow" ? obs::Tracer::global().slowest_json(32)
                                  : obs::Tracer::global().recent_json(32);
     return r;
   });

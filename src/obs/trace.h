@@ -10,9 +10,9 @@
 //      ├─ ec_encode                    (leader: θ(X,N) Reed-Solomon encode)
 //      ├─ wal_fsync                    (leader's own durability)
 //      ├─ net_accept:<id> ...          (per-acceptor network + queue time;
-//      │   └─ wal_fsync                 started by the sender, ended by the
-//      │                                receiver — one process hosts all
-//      │                                nodes, so the global tracer sees both)
+//      │   └─ wal_fsync                 started by the sender's thread, ended
+//      │                                by the receiver's; the two halves
+//      │                                meet when a reader assembles trees)
 //      ├─ quorum_wait                  (accepts sent -> QW durable acks)
 //      └─ apply                        (commit -> state machine applied)
 //
@@ -21,19 +21,21 @@
 // handlers under a SpanScope carrying the sender's context, so protocol code
 // only ever talks to the ambient context.
 //
-// Completed traces (root span ended) land in a bounded ring; the K most
-// recent / slowest can be dumped as JSON (`/traces/recent`, bench reports).
-// Traces slower than a configurable threshold are additionally dumped to the
-// log and kept in a separate slow-op ring.
+// Recording takes no shared lock and allocates nothing: begin_trace,
+// start_span, end_span and set_slot each append one fixed-size event to the
+// calling thread's ring (kRingEvents events, overwritten oldest first). The
+// readers (recent, slowest, the counts, the JSON dumps) copy every ring and
+// group the events into CommitTrace trees. A trace is returned once its root
+// has ended, and only while no ring has overwritten an event it may own.
 //
 // Timestamps are supplied by the caller's NodeContext clock, so under the
 // simulator traces are sim-time and fully deterministic.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -53,6 +55,18 @@ struct SpanContext {
   SpanId span_id = 0;
 
   bool valid() const { return trace_id != kNoTrace; }
+};
+
+/// A span's name as recorded: a string with static storage duration (a
+/// literal) plus an optional numeric suffix, rendered "<base>:<arg>" by the
+/// readers ({"net_accept", 3} -> "net_accept:3"). Only the pointer is stored.
+struct SpanName {
+  SpanName(const char* base) : base(base) {}  // NOLINT: literals convert implicitly
+  SpanName(const char* base, uint32_t arg) : base(base), arg(arg), has_arg(true) {}
+
+  const char* base;
+  uint32_t arg = 0;
+  bool has_arg = false;
 };
 
 /// One timed phase within a trace.
@@ -82,12 +96,28 @@ struct CommitTrace {
   const TraceSpan* find(const std::string& name) const;
 };
 
-/// Bounded collector of span trees. All methods are thread-safe; the
-/// in-flight set and the completed ring are both capped so an abandoned
-/// trace (lost leadership, dropped frame) can never leak memory.
+namespace detail {
+struct SpanRing;
+struct Snapshot;
+}  // namespace detail
+
+/// Span recorder with per-thread single-writer rings. All methods are
+/// thread-safe. Memory is bounded by one ring per live recording thread: a
+/// thread's ring goes back to the tracer when the thread exits and the next
+/// new recording thread reuses it. Abandoned traces (lost leadership, dropped
+/// frame) age out as their thread's ring wraps.
 class Tracer {
  public:
-  explicit Tracer(size_t capacity = 512) : capacity_(capacity) {}
+  /// Events per thread ring (48 bytes each).
+  static constexpr size_t kRingEvents = 4096;
+
+  /// `capacity` bounds the completed traces the readers return: the
+  /// `capacity` most recently completed ones still in the rings.
+  explicit Tracer(size_t capacity = 512);
+  ~Tracer();
+
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   /// Process-wide tracer (leaked singleton, same rationale as the registry).
   static Tracer& global();
@@ -95,26 +125,19 @@ class Tracer {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Commits slower than this are dumped to the log with their full span
-  /// tree and retained in the slow-op ring. 0 disables the slow-op log.
-  void set_slow_threshold_us(int64_t us) {
-    slow_threshold_us_.store(us, std::memory_order_relaxed);
-  }
-  int64_t slow_threshold_us() const {
-    return slow_threshold_us_.load(std::memory_order_relaxed);
-  }
-
   /// Mints a fresh trace with its root span open; returns the root context.
   /// Invalid context when the tracer is disabled.
-  SpanContext begin_trace(std::string root_name, uint32_t node, int64_t t_us);
+  SpanContext begin_trace(SpanName root_name, uint32_t node, int64_t t_us);
 
-  /// Opens a child span under `parent`. Unknown/evicted traces and invalid
-  /// parents yield an invalid context (all subsequent calls no-op). A parent
-  /// with span_id 0 attaches the child to the trace's root span.
-  SpanContext start_span(SpanContext parent, std::string name, uint32_t node, int64_t t_us);
+  /// Opens a child span under `parent`; an invalid parent yields an invalid
+  /// context (all subsequent calls no-op). A parent with span_id 0 attaches
+  /// the child to the trace's root span. A span under a trace that is unknown
+  /// or has aged out is recorded but never surfaces in a reader.
+  SpanContext start_span(SpanContext parent, SpanName name, uint32_t node, int64_t t_us);
 
-  /// Closes a span (idempotent: re-ending keeps the first end time). Ending
-  /// the root span completes the trace and moves it to the ring.
+  /// Closes a span (re-ending keeps the earliest end time). Ending the root
+  /// span completes the trace: its tree holds the spans started and the ends
+  /// recorded by the root's end time; later ones are left out (still open).
   void end_span(SpanContext span, int64_t t_us);
 
   /// Tags the trace with the consensus slot it committed (set at propose).
@@ -122,37 +145,32 @@ class Tracer {
 
   size_t completed_count() const;
   size_t active_count() const;
-  size_t slow_count() const;
 
-  /// The K most recently completed traces, newest first; spans in start
-  /// order.
+  /// The K most recently completed traces (by root end time), newest first;
+  /// spans in start order.
   std::vector<CommitTrace> recent(size_t k) const;
   /// The K slowest completed traces (by root span wall time), slowest first.
   std::vector<CommitTrace> slowest(size_t k) const;
-  /// The K most recent over-threshold traces, newest first.
-  std::vector<CommitTrace> slow_recent(size_t k) const;
 
   /// JSON documents: {"traces":[{trace_id,slot,duration_us,spans:[...]}]}.
   std::string recent_json(size_t k) const;
   std::string slowest_json(size_t k) const;
-  std::string slow_json(size_t k) const;
 
+  /// Forgets everything recorded so far.
   void clear();
 
  private:
-  CommitTrace* find_active(TraceId id);  // mu_ held
-  void complete(std::map<TraceId, CommitTrace>::iterator it, int64_t t_us);  // mu_ held
+  detail::SpanRing* ring();  // the calling thread's ring, acquired on first use
+  detail::SpanRing* acquire_ring();
+  detail::Snapshot snapshot() const;
   static std::string to_json(const std::vector<CommitTrace>& traces);
 
-  std::atomic<bool> enabled_{true};
-  std::atomic<int64_t> slow_threshold_us_{0};
-  std::atomic<uint64_t> seq_{1};
+  const uint64_t uid_;  // tells this tracer's rings apart in a thread's list
   const size_t capacity_;
+  std::atomic<bool> enabled_{true};
 
-  mutable std::mutex mu_;
-  std::map<TraceId, CommitTrace> active_;
-  std::deque<CommitTrace> completed_;  // ring of finished traces
-  std::deque<CommitTrace> slow_;       // ring of over-threshold traces
+  mutable std::mutex rings_mu_;  // registration, readers and clear; never per event
+  std::vector<std::shared_ptr<detail::SpanRing>> rings_;
 };
 
 /// The ambient span of the calling thread (invalid when none). Transports

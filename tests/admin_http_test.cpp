@@ -10,15 +10,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "kv/client.h"
 #include "node/tcp_cluster.h"
+#include "obs/trace.h"
 
 namespace rspaxos {
 namespace {
@@ -227,12 +231,34 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(m.body.find("reactor=\"0\""), std::string::npos);
   EXPECT_NE(m.body.find("reactor=\"1\""), std::string::npos);
 
-  // /traces/recent: JSON document (possibly empty list), both plain and
-  // ?slow variants.
+  // /traces/recent: JSON document (possibly empty list).
   HttpReply t = http_get(port0, "/traces/recent");
   EXPECT_EQ(t.status, 200);
   EXPECT_EQ(t.body.rfind("{\"traces\":[", 0), 0u) << t.body;
-  EXPECT_EQ(http_get(port0, "/traces/recent?slow").status, 200);
+
+  // ?slow lists the slowest recent trees first. Two synthetic trees, far
+  // slower than any real put, start now on the cluster's clock.
+  obs::Tracer& tracer = obs::Tracer::global();
+  const int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now().time_since_epoch())
+                             .count();
+  for (auto [slot, dur] : {std::pair<uint64_t, int64_t>{901, 2 * kSeconds * 1000},
+                           std::pair<uint64_t, int64_t>{902, 1 * kSeconds * 1000}}) {
+    obs::SpanContext root = tracer.begin_trace("client_rpc", 0, now_us);
+    tracer.set_slot(root.trace_id, slot);
+    tracer.end_span(root, now_us + dur);
+  }
+  HttpReply slow = http_get(port0, "/traces/recent?slow");
+  ASSERT_EQ(slow.status, 200);
+  std::vector<int64_t> durations;
+  for (size_t at = slow.body.find("\"duration_us\":"); at != std::string::npos;
+       at = slow.body.find("\"duration_us\":", at + 1)) {
+    durations.push_back(std::stoll(slow.body.substr(at + std::strlen("\"duration_us\":"))));
+  }
+  ASSERT_GE(durations.size(), 2u) << slow.body;
+  EXPECT_TRUE(std::is_sorted(durations.rbegin(), durations.rend())) << slow.body;
+  EXPECT_EQ(durations[0], 2 * kSeconds * 1000);
+  EXPECT_LT(slow.body.find("\"slot\":901"), slow.body.find("\"slot\":902")) << slow.body;
 
   EXPECT_EQ(http_get(port0, "/nope").status, 404);
 

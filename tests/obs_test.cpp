@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -291,6 +293,27 @@ TEST(Trace, SpanTreeLifecycle) {
   EXPECT_EQ(es->duration_us(), 3);
 }
 
+TEST(Trace, LateAndOrphanSpansStayOutOfTheTree) {
+  Tracer tr(8);
+  SpanContext root = tr.begin_trace("client_rpc", 1, 100);
+  SpanContext slow = tr.start_span(root, "wal_fsync", 2, 120);
+  tr.end_span(root, 150);
+  SpanContext late = tr.start_span(root, "apply", 1, 160);
+  tr.end_span(late, 170);
+  tr.end_span(slow, 200);
+  // A span under a parent the tree never got is left out too.
+  SpanContext orphan = tr.start_span(SpanContext{root.trace_id, 999999}, "quorum_wait", 1, 130);
+  tr.end_span(orphan, 140);
+  auto traces = tr.recent(1);
+  ASSERT_EQ(traces.size(), 1u);
+  const auto& t = traces[0];
+  EXPECT_EQ(t.spans.size(), 2u);
+  EXPECT_EQ(t.find("quorum_wait"), nullptr);
+  EXPECT_EQ(t.find("apply"), nullptr);  // started after the trace completed
+  ASSERT_NE(t.find("wal_fsync"), nullptr);
+  EXPECT_TRUE(t.find("wal_fsync")->open());  // ended after it
+}
+
 TEST(Trace, ParentWithZeroSpanAttachesToRoot) {
   Tracer tr(8);
   SpanContext root = tr.begin_trace("commit", 1, 0);
@@ -310,11 +333,185 @@ TEST(Trace, ParentWithZeroSpanAttachesToRoot) {
 TEST(Trace, UnknownAndInvalidContextsAreIgnored) {
   Tracer tr(8);
   EXPECT_FALSE(tr.start_span(SpanContext{}, "x", 1, 10).valid());
-  EXPECT_FALSE(tr.start_span(SpanContext{12345, 1}, "x", 1, 10).valid());
+  // Recording cannot tell an unknown trace id at write time; the span is
+  // kept but never surfaces, because no reader finds its trace's root.
+  tr.start_span(SpanContext{12345, 1}, "x", 1, 10);
   tr.end_span(SpanContext{}, 10);
   tr.end_span(SpanContext{12345, 1}, 10);
+  EXPECT_TRUE(tr.recent(8).empty());
   EXPECT_EQ(tr.active_count(), 0u);
   EXPECT_EQ(tr.completed_count(), 0u);
+}
+
+TEST(Trace, AbandonedTracesAgeOutByAgeNotNodeId) {
+  // Trace ids carry the node in their high bits. Abandoned traces age out
+  // by age, so many older abandoned traces of a higher node cannot push out
+  // a newer node-0 trace.
+  Tracer tr(8);
+  for (int i = 0; i < 100; ++i) tr.begin_trace("op", /*node=*/0xFFFF, 10 + i);
+  SpanContext root = tr.begin_trace("commit", /*node=*/0, 500);
+  tr.set_slot(root.trace_id, 42);
+  SpanContext child = tr.start_span(root, "apply", 0, 510);
+  tr.end_span(child, 520);
+  tr.end_span(root, 530);
+  auto traces = tr.recent(8);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].slot, 42u);
+  ASSERT_NE(traces[0].find("commit"), nullptr);
+  EXPECT_EQ(traces[0].find("commit")->node, 0u);
+  EXPECT_EQ(traces[0].spans.size(), 2u);
+}
+
+TEST(Trace, SpansEndedOnAnotherThreadJoinTheirTree) {
+  // Each thread begins traces and hands them to the next thread, which
+  // closes them and adds a span under the handed-over parent.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 250;
+  Tracer tr(kThreads * kPerThread);
+  struct Handoff {
+    SpanContext root, a, b;
+    int64_t t;
+  };
+  struct Inbox {
+    std::mutex mu;
+    std::vector<Handoff> items;
+  };
+  std::vector<Inbox> inbox(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&tr, &inbox, i] {
+      const uint32_t node = static_cast<uint32_t>(i);
+      Inbox& out = inbox[static_cast<size_t>((i + 1) % kThreads)];
+      Inbox& in = inbox[static_cast<size_t>(i)];
+      int produced = 0, consumed = 0;
+      while (produced < kPerThread || consumed < kPerThread) {
+        if (produced < kPerThread) {
+          int64_t t = 1000 + 10 * produced;
+          Handoff h;
+          h.t = t;
+          h.root = tr.begin_trace("op", node, t);
+          h.a = tr.start_span(h.root, {"net_accept", node}, node, t + 1);
+          h.b = tr.start_span(h.a, "wal_fsync", node, t + 2);
+          ++produced;
+          std::lock_guard<std::mutex> lk(out.mu);
+          out.items.push_back(h);
+        }
+        std::vector<Handoff> got;
+        {
+          std::lock_guard<std::mutex> lk(in.mu);
+          got.swap(in.items);
+        }
+        for (const Handoff& h : got) {
+          SpanContext c = tr.start_span(h.a, "apply", node, h.t + 3);
+          tr.end_span(c, h.t + 4);
+          tr.end_span(h.b, h.t + 5);
+          tr.end_span(h.a, h.t + 6);
+          tr.end_span(h.root, h.t + 7);
+          ++consumed;
+        }
+        if (got.empty()) std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(tr.active_count(), 0u);
+  EXPECT_EQ(tr.completed_count(), static_cast<size_t>(kThreads * kPerThread));
+  auto traces = tr.recent(kThreads * kPerThread);
+  ASSERT_EQ(traces.size(), static_cast<size_t>(kThreads * kPerThread));
+  std::set<obs::TraceId> ids;
+  for (const auto& t : traces) {
+    ids.insert(t.id);
+    EXPECT_TRUE(t.done);
+    EXPECT_EQ(t.duration_us(), 7);
+    ASSERT_EQ(t.spans.size(), 4u);
+    for (const auto& s : t.spans) {
+      EXPECT_FALSE(s.open()) << s.name;
+      if (s.id == t.root) continue;
+      bool parent_known = std::any_of(t.spans.begin(), t.spans.end(),
+                                      [&s](const obs::TraceSpan& p) { return p.id == s.parent; });
+      EXPECT_TRUE(parent_known) << "orphan span " << s.name;
+    }
+    const obs::TraceSpan* a = t.find("net_accept:" + std::to_string(t.spans[0].node));
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(t.find("apply")->parent, a->id);
+    EXPECT_EQ(t.find("wal_fsync")->parent, a->id);
+  }
+  EXPECT_EQ(ids.size(), traces.size());
+}
+
+TEST(Trace, RingOverflowReturnsWholeTreesOnly) {
+  // One thread records far more than a ring holds. Each trace's events are
+  // spread over several steps, so the overwritten prefix cuts some traces
+  // in half; those must not come back at all.
+  Tracer tr(Tracer::kRingEvents);
+  struct Open {
+    SpanContext root, child, grandchild;
+  };
+  std::vector<Open> open;
+  constexpr int kSteps = 3000;
+  for (int i = 0; i < kSteps; ++i) {
+    const int64_t t = 100 + 10 * i;
+    Open o;
+    o.root = tr.begin_trace("op", 1, t);
+    o.child = tr.start_span(o.root, "commit", 1, t + 1);
+    open.push_back(o);
+    if (i >= 1) {
+      Open& prev = open[static_cast<size_t>(i - 1)];
+      prev.grandchild = tr.start_span(prev.child, "wal_fsync", 2, t + 2);
+    }
+    if (i >= 3) {
+      const Open& old = open[static_cast<size_t>(i - 3)];
+      tr.end_span(old.grandchild, t + 3);
+      tr.end_span(old.child, t + 4);
+      tr.end_span(old.root, t + 5);
+    }
+  }
+  ASSERT_GT(kSteps * 6, static_cast<int>(Tracer::kRingEvents) * 2);
+  auto traces = tr.recent(Tracer::kRingEvents);
+  // About kRingEvents / 6 steps survive; the oldest are gone.
+  EXPECT_GT(traces.size(), Tracer::kRingEvents / 8);
+  EXPECT_LT(traces.size(), static_cast<size_t>(kSteps));
+  for (const auto& t : traces) {
+    ASSERT_EQ(t.spans.size(), 3u) << "trace " << t.id;
+    const obs::TraceSpan* root = t.find("op");
+    const obs::TraceSpan* child = t.find("commit");
+    const obs::TraceSpan* grandchild = t.find("wal_fsync");
+    ASSERT_TRUE(root && child && grandchild);
+    EXPECT_EQ(root->parent, 0u);
+    EXPECT_EQ(child->parent, root->id);
+    EXPECT_EQ(grandchild->parent, child->id);
+    EXPECT_FALSE(child->open());
+    EXPECT_FALSE(grandchild->open());
+  }
+}
+
+TEST(Trace, TraceWithSpansInAWrappedRingIsHidden) {
+  // The root lives in this thread's ring; its grandchild in a second
+  // thread's ring, which then wraps. The tree would come back without the
+  // grandchild, so it must not come back at all.
+  Tracer tr(64);
+  SpanContext root = tr.begin_trace("op", 1, 100);
+  SpanContext child = tr.start_span(root, "commit", 1, 101);
+  std::thread flood([&tr, child] {
+    SpanContext g = tr.start_span(child, "wal_fsync", 2, 102);
+    tr.end_span(g, 103);
+    for (int64_t i = 0; i < 2 * static_cast<int64_t>(Tracer::kRingEvents); ++i) {
+      SpanContext other = tr.begin_trace("other", 2, 200 + i);
+      tr.end_span(other, 200 + i);
+    }
+  });
+  flood.join();
+  // Ends last, so it would be the newest tree returned.
+  tr.end_span(child, 100000);
+  tr.end_span(root, 100001);
+  auto traces = tr.recent(64);
+  ASSERT_EQ(traces.size(), 64u);
+  for (const auto& t : traces) {
+    EXPECT_NE(t.id, root.trace_id);
+    ASSERT_EQ(t.spans.size(), 1u);
+    EXPECT_EQ(t.spans[0].name, "other");
+  }
 }
 
 TEST(Trace, RingEvictsOldestCompleted) {
@@ -343,22 +540,6 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   tr.end_span(root, 10);
   EXPECT_EQ(tr.active_count(), 0u);
   EXPECT_EQ(tr.completed_count(), 0u);
-}
-
-TEST(Trace, SlowOpsLandInSlowRing) {
-  Tracer tr(8);
-  tr.set_slow_threshold_us(100);
-  SpanContext fast = tr.begin_trace("op", 1, 0);
-  tr.end_span(fast, 50);
-  SpanContext slow = tr.begin_trace("op", 1, 0);
-  tr.set_slot(slow.trace_id, 7);
-  tr.end_span(slow, 500);
-  EXPECT_EQ(tr.completed_count(), 2u);
-  EXPECT_EQ(tr.slow_count(), 1u);
-  auto slows = tr.slow_recent(4);
-  ASSERT_EQ(slows.size(), 1u);
-  EXPECT_EQ(slows[0].slot, 7u);
-  EXPECT_NE(tr.slow_json(4).find("\"slot\":7"), std::string::npos);
 }
 
 TEST(Trace, JsonShape) {

@@ -1,18 +1,26 @@
-// Trace-propagation tests over the simulated cluster: a committed put must
-// leave ONE connected span tree whose spans were recorded on several distinct
-// nodes (client, leader, acceptors) — proof that the SpanContext actually
-// crossed the wire in the frame header rather than every node minting its own
-// trace. The tree contract must also survive a leader failover: spans from
-// the doomed leader's era may be abandoned, but post-election commits trace
-// exactly like first-era ones.
+// Trace-propagation tests: a committed put must leave ONE connected span
+// tree whose spans were recorded on several distinct nodes (client, leader,
+// acceptors) — proof that the SpanContext actually crossed the wire in the
+// frame header rather than every node minting its own trace. The tree
+// contract must also survive a leader failover: spans from the doomed
+// leader's era may be abandoned, but post-election commits trace exactly like
+// first-era ones. Over real TCP every node records on its own loop thread, so
+// the tree is joined from several threads' span rings.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "kv/client.h"
 #include "kv/cluster.h"
+#include "node/tcp_cluster.h"
 #include "obs/trace.h"
 #include "sim/sim_world.h"
 
@@ -145,6 +153,71 @@ TEST(TracePropagation, SpanTreeSurvivesLeaderFailover) {
     EXPECT_NE(s.node, static_cast<uint32_t>(kv::endpoint_id(old_leader, 0)))
         << s.name;
   }
+}
+
+TEST(TracePropagation, TcpPutJoinsSpansFromEveryThread) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("rspaxos_trace_tcp_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  node::TcpClusterOptions opts;
+  opts.num_servers = 3;
+  opts.f = 1;
+  opts.data_dir = dir.string();
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  std::unique_ptr<node::TcpCluster> cluster = std::move(started).value();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (cluster->leader_server_of(0) < 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no leader";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  auto cn = cluster->start_client();
+  ASSERT_TRUE(cn.is_ok()) << cn.status().to_string();
+  net::TcpNode* cnode = cn.value();
+  auto client = std::make_unique<kv::KvClient>(cnode, cluster->routing(), kv::KvClient::Options());
+  cnode->loop().post([&] { cnode->set_handler(client.get()); });
+
+  Tracer::global().clear();
+  Tracer::global().set_enabled(true);
+  std::promise<Status> done;
+  auto fut = done.get_future();
+  cnode->loop().post([&] {
+    client->put("tcp-traced", to_bytes("v"), [&](Status s) { done.set_value(s); });
+  });
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(20)), std::future_status::ready);
+  ASSERT_TRUE(fut.get().is_ok());
+
+  // The client's reply follows the leader's commit, which follows a quorum
+  // of follower fsyncs: once the put returned, all of them are readable.
+  const auto traces = Tracer::global().recent(16);
+  const CommitTrace* t = find_commit_trace(traces);
+  ASSERT_NE(t, nullptr) << Tracer::global().recent_json(16);
+  expect_connected(*t);
+  const TraceSpan* rpc = t->find("client_rpc");
+  const TraceSpan* commit = t->find("commit");
+  ASSERT_TRUE(rpc && commit);
+  EXPECT_EQ(rpc->parent, 0u);
+  EXPECT_EQ(commit->parent, rpc->id);
+  EXPECT_NE(rpc->node, commit->node);
+  // A follower's fsync hangs under the net_accept span the leader's thread
+  // opened for that follower, which the follower's thread closed before it
+  // began the fsync. At least one such fsync finished before the commit.
+  int closed_follower_fsyncs = 0;
+  for (const TraceSpan& s : t->spans) {
+    if (s.name != "wal_fsync" || s.node == commit->node) continue;
+    const TraceSpan* accept = t->find("net_accept:" + std::to_string(s.node));
+    ASSERT_NE(accept, nullptr) << Tracer::global().recent_json(16);
+    EXPECT_EQ(s.parent, accept->id);
+    EXPECT_EQ(accept->parent, commit->id);
+    EXPECT_EQ(accept->node, commit->node);
+    EXPECT_FALSE(accept->open());
+    if (!s.open()) ++closed_follower_fsyncs;
+  }
+  EXPECT_GE(closed_follower_fsyncs, 1) << Tracer::global().recent_json(16);
+
+  cluster.reset();  // joins every I/O thread, incl. the client node's loop
+  client.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
