@@ -193,6 +193,8 @@ bool read_full(int fd, uint8_t* buf, size_t n) {
 ///    syscalls per frame (header, then payload), from kSweepThreads threads;
 ///  - receive: a dedicated blocking reader thread doing two read_full()s and
 ///    a fresh Bytes(len) per frame, posting one EventLoop task per message.
+///    A standalone EventLoop runs on its own thread, so each message still
+///    crosses threads once, as delivery did in that design.
 double run_blocking_side(RxCount& rx, size_t frame_bytes) {
   int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (lfd < 0) return 0;
@@ -288,7 +290,7 @@ double run_blocking_side(RxCount& rx, size_t frame_bytes) {
 }
 
 /// The new path: kSweepThreads threads hammer TcpNode::send (lock-light
-/// enqueue; the io thread coalesces frames into vectored sendmsg calls).
+/// enqueue; the host's loop coalesces frames into vectored sendmsg calls).
 /// In-flight frames are capped below the per-peer queue bounds so the bench
 /// measures throughput, not drop-oldest backpressure.
 double run_epoll_side(net::TcpNode* sender, RxCount& rx, size_t frame_bytes) {

@@ -495,11 +495,12 @@ void emit_json(const Sweep& sim, const TcpResults& tcp, bool smoke) {
     return;
   }
   std::fprintf(f,
-               "{\n  \"mode\": \"%s\",\n"
+               "{\n  \"mode\": \"%s\",\n  %s,\n"
                "  \"measurement\": \"open-loop Poisson arrivals; latency from "
                "intended arrival time (coordinated-omission-safe)\",\n"
                "  \"value_bytes\": %zu,\n  \"client_window\": %zu,\n",
-               smoke ? "smoke" : "full", kValueBytes, kClientWindow);
+               smoke ? "smoke" : "full", bench_meta_json(1).c_str(), kValueBytes,
+               kClientWindow);
   std::fprintf(f,
                "  \"sim\": {\n    \"cluster\": \"5 servers, theta(3,5), LAN, SSD\",\n"
                "    \"capacity_qps\": %.1f,\n    \"knee_qps\": %.1f,\n"

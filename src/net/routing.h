@@ -20,7 +20,7 @@ namespace rspaxos::net {
 constexpr NodeId kGroupStride = 4096;
 constexpr NodeId kClientBase = 1u << 24;
 
-/// Identifies a physical machine (one socket, one I/O thread, one WAL).
+/// Identifies a physical machine (one socket, one loop thread, one WAL).
 using HostId = NodeId;
 
 inline NodeId endpoint_id(int server, int group) {

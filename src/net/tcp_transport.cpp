@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -88,66 +87,49 @@ bool TcpNode::on_context_thread() const { return host_->loop_.on_loop_thread(); 
 // ---------------------------------------------------------------------------
 // TcpHost.
 
-TimeMicros TcpHost::steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 TcpHost::TcpHost(TcpTransport* t, HostId id, int listen_fd)
     : transport_(t), id_(id), listen_fd_(listen_fd) {
   io_metrics_.init(id);
-  // Tag the protocol thread so every log line carries node=<host id>.
-  loop_.post([id] { set_log_node(id); });
-
-  driver_ = util::make_io_driver();
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  listener_.host = this;
 
   // The peer-host set is fixed by the transport's address map, so the map
   // itself needs no lock — only each peer's queue does.
   for (const auto& [peer_id, addr] : transport_->addrs_) {
     auto p = std::make_unique<Peer>();
+    p->host = this;
     p->id = peer_id;
     p->addr = addr;
-    p->tag.p = p.get();
     p->depth_gauge = obs::TcpIoMetrics::queue_depth_gauge(id, peer_id);
     p->bytes_gauge = obs::TcpIoMetrics::queue_bytes_gauge(id, peer_id);
     peers_.emplace(peer_id, std::move(p));
   }
 
-  if (driver_->ok() && wake_fd_ >= 0) {
-    driver_->add(wake_fd_, EPOLLIN, &wake_tag_);
-    driver_->add(listen_fd_, EPOLLIN, &listen_tag_);
-    io_thread_ = std::thread([this] { io_loop(); });
-    io_started_ = true;
-  } else {
-    RSP_WARN << "tcp: io driver/eventfd setup failed, host " << id << " is send/recv dead";
-  }
+  // The loop's driver is single-owner, so registration runs on its thread.
+  loop_.post([this, id] {
+    // Tag the protocol thread so every log line carries node=<host id>.
+    set_log_node(id);
+    loop_.set_cycle_end([this] { flush_dirty(); });
+    if (!loop_.watch(listen_fd_, EPOLLIN, &listener_)) {
+      RSP_WARN << "tcp: listener registration failed, host " << id_ << " accepts nothing";
+    }
+  });
 }
 
-TcpHost::~TcpHost() {
-  shutdown();
-  // driver_/wake_fd_ stay open until here: send() may race shutdown() and
-  // write the eventfd after stopping_ flips, which must hit our fd (harmless
-  // wakeup), never a closed or kernel-reused one. By destruction time the
-  // caller has quiesced all senders.
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-}
+TcpHost::~TcpHost() { shutdown(); }
 
 void TcpHost::shutdown() {
   if (stopping_.exchange(true)) return;
-  if (wake_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
-  }
-  if (io_thread_.joinable()) io_thread_.join();
-  // io_loop() closes listen_fd_ on exit; if it never ran (driver/eventfd
-  // setup failure), the listener is still ours to close.
-  if (!io_started_ && listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   loop_.stop();
+  // The loop thread is joined: the sockets it owned are ours to close.
+  for (auto& c : conns_) ::close(c->fd);
+  conns_.clear();
+  for (auto& [pid, p] : peers_) {
+    if (p->fd >= 0) ::close(p->fd);
+    p->fd = -1;
+    p->state = PeerState::kIdle;
+  }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void TcpHost::register_endpoint(TcpNode* ep) {
@@ -155,8 +137,8 @@ void TcpHost::register_endpoint(TcpNode* ep) {
 }
 
 // ---------------------------------------------------------------------------
-// send path (any thread): enqueue + at most one eventfd write. Never blocks
-// on a socket, a connect, or another peer's queue.
+// send path (any thread): enqueue, then at most one flush request. Never
+// blocks on a socket, a connect, or another peer's queue.
 
 void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
   bool sampled = (stall_sample_.fetch_add(1, std::memory_order_relaxed) & 0xf) == 0;
@@ -188,12 +170,12 @@ void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
                       crc32c(payload), from, to, type, span.trace_id, span.span_id);
   f.payload = std::move(payload);
 
-  bool need_wake;
+  bool need_flush;
   uint64_t dropped = 0;
   size_t depth, q_bytes;
   {
     std::lock_guard<std::mutex> lk(p->mu);
-    need_wake = p->q.empty();
+    need_flush = p->q.empty();
     p->q_bytes += f.wire_size();
     p->q.push_back(std::move(f));
     // Drop-oldest backpressure: bounded queue, datagram semantics. Dropping
@@ -215,14 +197,14 @@ void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
     send_drops_.fetch_add(dropped, std::memory_order_relaxed);
     io_metrics_.drops_queue_full->inc(dropped);
   }
-  // The eventfd write is needed only when the I/O thread may be parked in
-  // epoll_wait. While it is mid-cycle (io_busy_), the post-cycle queue rescan
-  // is guaranteed to see this frame: the enqueue above happens-before this
-  // seq_cst load, which reads true only if the rescan has not run yet.
-  if (need_wake && !io_busy_.load() &&
-      !stopping_.load(std::memory_order_relaxed) && wake_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
+  // A non-empty queue already has a flush coming: a cycle-end or posted
+  // flush, armed EPOLLOUT, a pending connect or a reconnect timer.
+  if (need_flush) {
+    if (loop_.on_loop_thread()) {
+      mark_dirty(p);
+    } else {
+      loop_.post([this, p] { mark_dirty(p); });
+    }
   }
   if (sampled) {
     io_metrics_.send_stall_us->observe(
@@ -232,99 +214,23 @@ void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
   }
 }
 
+void TcpHost::mark_dirty(Peer* p) {
+  if (p->dirty) return;
+  p->dirty = true;
+  dirty_.push_back(p);
+}
+
+void TcpHost::flush_dirty() {
+  for (Peer* p : dirty_) {
+    p->dirty = false;
+    // With EPOLLOUT armed the socket's writability drives the flush.
+    if (!p->want_write) flush_peer(p);
+  }
+  dirty_.clear();
+}
+
 // ---------------------------------------------------------------------------
-// I/O thread: one epoll loop over the listener, every inbound connection and
-// every outbound peer socket.
-
-int TcpHost::io_timeout_ms() const {
-  // Next deadline is the earliest reconnect retry among idle peers that have
-  // work queued; cap at 1 s so the loop re-checks stopping_ regularly.
-  TimeMicros now = steady_now_us();
-  int64_t best_ms = 1000;
-  for (const auto& [pid, p] : peers_) {
-    if (p->state != PeerState::kIdle) continue;
-    bool pending = !p->inflight.empty();
-    if (!pending) {
-      std::lock_guard<std::mutex> lk(p->mu);
-      pending = !p->q.empty();
-    }
-    if (!pending) continue;
-    int64_t delta_ms =
-        p->retry_at > now ? static_cast<int64_t>((p->retry_at - now + 999) / 1000) : 0;
-    if (delta_ms < best_ms) best_ms = delta_ms;
-  }
-  return static_cast<int>(best_ms);
-}
-
-void TcpHost::io_loop() {
-  set_log_node(id_);
-  util::IoEvent evs[64];
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    int n = driver_->wait(evs, 64, io_timeout_ms());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    // Senders skip the eventfd syscall while we are demonstrably awake; the
-    // rescan after the flag clears picks up anything enqueued meanwhile.
-    io_busy_.store(true);
-    bool woke = n == 0;  // timeout: retry deadlines may have passed
-    for (int i = 0; i < n && !stopping_.load(std::memory_order_relaxed); ++i) {
-      auto* tag = static_cast<FdTag*>(evs[i].tag);
-      switch (tag->kind) {
-        case TagKind::kWake: {
-          uint64_t v;
-          while (::read(wake_fd_, &v, sizeof(v)) > 0) {
-          }
-          woke = true;
-          break;
-        }
-        case TagKind::kListen:
-          on_acceptable();
-          break;
-        case TagKind::kConn: {
-          auto* c = static_cast<Conn*>(tag->p);
-          if (evs[i].events & EPOLLIN) {
-            on_conn_readable(c);
-          } else if (evs[i].events & (EPOLLHUP | EPOLLERR)) {
-            close_conn(c);
-          }
-          break;
-        }
-        case TagKind::kPeer:
-          handle_peer_event(static_cast<Peer*>(tag->p), evs[i].events);
-          break;
-      }
-    }
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    if (woke) {
-      for (auto& [pid, p] : peers_) flush_peer(p.get());
-    }
-    io_busy_.store(false);
-    // Wake-elision rescan: any frame whose sender saw io_busy_ was enqueued
-    // before this point (seq_cst), so it is visible to these queue checks.
-    // Peers with EPOLLOUT armed are skipped — the socket event drives them.
-    for (auto& [pid, p] : peers_) {
-      if (p->want_write) continue;
-      bool pending;
-      {
-        std::lock_guard<std::mutex> lk(p->mu);
-        pending = !p->q.empty();
-      }
-      if (pending) flush_peer(p.get());
-    }
-  }
-
-  // Shutdown: close everything owned by this thread.
-  for (auto& c : conns_) ::close(c->fd);
-  conns_.clear();
-  for (auto& [pid, p] : peers_) {
-    if (p->fd >= 0) ::close(p->fd);
-    p->fd = -1;
-    p->state = PeerState::kIdle;
-  }
-  ::close(listen_fd_);
-}
+// Inbound: accept, read, and deliver frames in place on the loop thread.
 
 void TcpHost::on_acceptable() {
   while (true) {
@@ -338,18 +244,26 @@ void TcpHost::on_acceptable() {
     int buf_sz = kSockBufBytes;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_sz, sizeof(buf_sz));
     auto c = std::make_unique<Conn>();
+    c->host = this;
     c->fd = fd;
     c->buf.resize(kReadBufBytes);
-    c->tag.p = c.get();
     conns_.push_back(std::move(c));
     Conn* raw = conns_.back().get();
     raw->self = std::prev(conns_.end());
-    if (!driver_->add(fd, EPOLLIN, &raw->tag)) close_conn(raw);
+    if (!loop_.watch(fd, EPOLLIN, raw)) close_conn(raw);
+  }
+}
+
+void TcpHost::Conn::on_io(uint32_t events) {
+  if (events & EPOLLIN) {
+    host->on_conn_readable(this);
+  } else if (events & (EPOLLHUP | EPOLLERR)) {
+    host->close_conn(this);
   }
 }
 
 void TcpHost::close_conn(Conn* c) {
-  driver_->del(c->fd);
+  loop_.unwatch(c->fd);
   ::close(c->fd);
   conns_.erase(c->self);  // destroys *c
 }
@@ -370,7 +284,7 @@ void TcpHost::on_conn_readable(Conn* c) {
     }
     size_t want = c->buf.size() - c->filled;
     ssize_t n = ::read(c->fd, c->buf.data() + c->filled, want);
-    if (n == 0) {  // peer closed; pending complete frames were already posted
+    if (n == 0) {  // peer closed; complete frames were already delivered
       close_conn(c);
       return;
     }
@@ -381,112 +295,54 @@ void TcpHost::on_conn_readable(Conn* c) {
       return;
     }
     c->filled += static_cast<size_t>(n);
-    if (!decode_and_dispatch(c)) {  // fatal frame: close here, never touch *c after
+    if (!deliver_frames(c)) {  // fatal frame: close here, never touch *c after
       close_conn(c);
       return;
     }
-    // Partial read: the socket is likely drained; level-triggered epoll
+    // Partial read: the socket is likely drained; level-triggered readiness
     // re-fires if more arrives, so yield to the rest of the loop.
     if (static_cast<size_t>(n) < want) return;
   }
 }
 
-bool TcpHost::decode_and_dispatch(Conn* c) {
-  struct FrameRef {
-    NodeId from;
-    NodeId to;
-    uint16_t type;
-    size_t off;
-    size_t len;
-    obs::SpanContext span;
-  };
-  // Complete frames stay in place: the whole read buffer is moved into one
-  // EventLoop task (frame refs are offsets into it) and the connection gets a
-  // fresh buffer, seeded with the trailing partial frame if any. Zero copies
-  // of delivered payload bytes, one task per read burst. One burst may carry
-  // frames for several endpoints; the task demultiplexes per frame.
-  std::vector<FrameRef> frames;
+bool TcpHost::deliver_frames(Conn* c) {
+  // Handlers get views into the connection buffer, valid for the call:
+  // payload bytes are never copied after the kernel. One read may carry
+  // frames for several endpoints; each is demultiplexed on its own.
   size_t pos = 0;
-  bool fatal = false;
   while (c->filled - pos >= kFrameHeaderBytes) {
     FrameHeader h = decode_frame_header(c->buf.data() + pos);
     if (h.payload_len > kMaxFrameBytes) {
       RSP_WARN << "tcp: oversized frame (" << h.payload_len << " bytes), closing";
-      fatal = true;
-      break;
+      return false;
     }
     if (c->filled - pos < kFrameHeaderBytes + h.payload_len) break;
-    const uint8_t* payload = c->buf.data() + pos + kFrameHeaderBytes;
-    if (crc32c(BytesView(payload, h.payload_len)) != h.crc) {
-      RSP_WARN << "tcp: frame checksum mismatch from node " << h.from << ", dropping";
-    } else {
-      frames.push_back({h.from, h.to, h.type, pos + kFrameHeaderBytes, h.payload_len,
-                        obs::SpanContext{h.trace_id, h.span_id}});
-    }
+    BytesView payload(c->buf.data() + pos + kFrameHeaderBytes, h.payload_len);
     pos += kFrameHeaderBytes + h.payload_len;
+    if (crc32c(payload) != h.crc) {
+      RSP_WARN << "tcp: frame checksum mismatch from node " << h.from << ", dropping";
+      continue;
+    }
+    // A frame for an endpoint that has not registered yet (or a stale
+    // destination) is dropped and the sender's protocol retransmits.
+    auto eit = endpoints_.find(h.to);
+    if (eit == endpoints_.end()) continue;
+    MessageHandler* handler = eit->second->handler_.load();
+    if (handler == nullptr) continue;
+    obs::SpanScope scope(obs::SpanContext{h.trace_id, h.span_id});
+    handler->on_message(h.from, static_cast<MsgType>(h.type), payload);
   }
-
-  bool posted = false;
-  if (!frames.empty() && !stopping_.load(std::memory_order_relaxed)) {
-    size_t leftover = c->filled - pos;
-    Bytes next = take_read_buf(std::max<size_t>(kReadBufBytes, leftover));
-    std::memcpy(next.data(), c->buf.data() + pos, leftover);
-    Bytes burst = std::move(c->buf);
-    c->buf = std::move(next);  // also sheds any grown huge-frame buffer
-    c->filled = leftover;
-    posted = true;
-    loop_.post([this, burst = std::move(burst), frames = std::move(frames)]() mutable {
-      for (const FrameRef& f : frames) {
-        // endpoints_ is loop-thread-confined; a frame for an endpoint that
-        // has not registered yet (or a stale destination) is dropped and the
-        // sender's protocol retransmits.
-        auto eit = endpoints_.find(f.to);
-        if (eit == endpoints_.end()) continue;
-        MessageHandler* h = eit->second->handler_.load();
-        if (h == nullptr) continue;
-        obs::SpanScope scope(f.span);
-        h->on_message(f.from, static_cast<MsgType>(f.type),
-                      BytesView(burst.data() + f.off, f.len));
-      }
-      recycle_read_buf(std::move(burst));
-    });
-  }
-
-  // A fatal frame means the connection must die. The caller owns closing it
-  // (close_conn destroys *c, so nothing here may touch the Conn afterwards).
-  if (fatal) return false;
-  if (posted) return true;
-  if (pos > 0) {  // only corrupt/skipped frames this burst
-    std::memmove(c->buf.data(), c->buf.data() + pos, c->filled - pos);
-    c->filled -= pos;
-  }
+  // Carry the trailing partial frame to the front; shed a buffer grown for a
+  // huge frame once it is no longer needed.
+  size_t leftover = c->filled - pos;
+  if (pos > 0 && leftover > 0) std::memmove(c->buf.data(), c->buf.data() + pos, leftover);
+  c->filled = leftover;
   if (c->buf.size() > kReadBufShrinkBytes && c->filled <= kReadBufBytes) {
     Bytes smaller(kReadBufBytes);
     std::memcpy(smaller.data(), c->buf.data(), c->filled);
     c->buf.swap(smaller);
   }
   return true;
-}
-
-Bytes TcpHost::take_read_buf(size_t min_bytes) {
-  {
-    std::lock_guard<std::mutex> lk(buf_pool_mu_);
-    // Pool entries are all kReadBufBytes; an oversized request (huge frame
-    // in progress) falls through to a fresh allocation.
-    if (!buf_pool_.empty() && buf_pool_.back().size() >= min_bytes) {
-      Bytes b = std::move(buf_pool_.back());
-      buf_pool_.pop_back();
-      return b;
-    }
-  }
-  return Bytes(std::max(min_bytes, kReadBufBytes));
-}
-
-void TcpHost::recycle_read_buf(Bytes b) {
-  constexpr size_t kBufPoolMax = 8;
-  if (b.size() != kReadBufBytes) return;  // don't cache grown huge-frame buffers
-  std::lock_guard<std::mutex> lk(buf_pool_mu_);
-  if (buf_pool_.size() < kBufPoolMax) buf_pool_.push_back(std::move(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +384,7 @@ void TcpHost::handle_peer_event(Peer* p, uint32_t events) {
 
 void TcpHost::peer_disconnected(Peer* p, const char* why) {
   if (p->fd >= 0) {
-    driver_->del(p->fd);
+    loop_.unwatch(p->fd);
     ::close(p->fd);
     p->fd = -1;
   }
@@ -543,7 +399,10 @@ void TcpHost::peer_disconnected(Peer* p, const char* why) {
   p->head_off = 0;
   p->backoff = p->backoff == 0 ? kMinBackoffUs
                                : std::min<DurationMicros>(p->backoff * 2, kMaxBackoffUs);
-  p->retry_at = steady_now_us() + p->backoff;
+  p->retry_at = loop_.now() + p->backoff;
+  // Reconnects when the backoff ends if frames are still waiting; a send
+  // after that reconnects through its own flush.
+  loop_.schedule(p->backoff, [this, p] { flush_peer(p); });
 }
 
 void TcpHost::start_connect(Peer* p) {
@@ -575,7 +434,7 @@ void TcpHost::start_connect(Peer* p) {
   p->state = rc == 0 ? PeerState::kConnected : PeerState::kConnecting;
   if (rc == 0) p->backoff = 0;
   p->want_write = true;
-  if (!driver_->add(fd, EPOLLIN | EPOLLOUT, &p->tag)) {
+  if (!loop_.watch(fd, EPOLLIN | EPOLLOUT, p)) {
     ::close(fd);
     p->fd = -1;
     peer_disconnected(p, "driver add failed");
@@ -584,7 +443,7 @@ void TcpHost::start_connect(Peer* p) {
 
 void TcpHost::set_peer_writable_interest(Peer* p, bool want) {
   if (p->want_write == want || p->fd < 0) return;
-  if (driver_->mod(p->fd, EPOLLIN | (want ? EPOLLOUT : 0u), &p->tag)) {
+  if (loop_.rewatch(p->fd, EPOLLIN | (want ? EPOLLOUT : 0u), p)) {
     p->want_write = want;
   }
 }
@@ -596,7 +455,7 @@ void TcpHost::flush_peer(Peer* p) {
       std::lock_guard<std::mutex> lk(p->mu);
       pending = !p->q.empty();
     }
-    if (!pending || steady_now_us() < p->retry_at) return;
+    if (!pending || loop_.now() < p->retry_at) return;
     start_connect(p);
   }
   if (p->state != PeerState::kConnected) return;
@@ -676,7 +535,7 @@ void TcpHost::flush_peer(Peer* p) {
     if (completed > 0) io_metrics_.frames_per_writev->observe(completed);
   }
   // Round budget exhausted with possible work left: keep EPOLLOUT armed so
-  // the flush resumes on the next epoll round without a wakeup.
+  // the flush resumes on the next loop cycle without a wakeup.
   set_peer_writable_interest(p, true);
 }
 
@@ -684,8 +543,8 @@ void TcpHost::flush_peer(Peer* p) {
 
 TcpTransport::~TcpTransport() {
   std::lock_guard<std::mutex> lk(mu_);
-  // Hosts first: joins every I/O thread and stops every loop, after which no
-  // thread can touch the endpoint objects the nodes_ map still owns.
+  // Hosts first: stops every loop, after which no thread can touch the
+  // endpoint objects the nodes_ map still owns.
   for (auto& [id, host] : hosts_) host->shutdown();
 }
 
@@ -726,9 +585,9 @@ StatusOr<TcpNode*> TcpTransport::start_node(NodeId id) {
       return Status::internal("listen failed");
     }
     auto host = std::unique_ptr<TcpHost>(new TcpHost(this, host_id, fd));
-    if (!host->io_started_) {
+    if (!host->loop_.ok()) {
       // Host destructor (via shutdown) closes the listener on this path.
-      return Status::internal("io driver/eventfd setup failed");
+      return Status::internal("event loop setup failed");
     }
     hit = hosts_.emplace(host_id, std::move(host)).first;
   }

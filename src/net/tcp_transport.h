@@ -1,36 +1,41 @@
-// TCP transport: non-blocking readiness-driven sockets (epoll or io_uring
-// behind util::IoDriver, RSPAXOS_IO_BACKEND selects), one listener and one
-// I/O thread per *host*, length-prefixed CRC-checked frames.
+// TCP transport: non-blocking readiness-driven sockets, one listener and one
+// thread per *host*, length-prefixed CRC-checked frames.
 //
 // Mirrors the paper's implementation substrate (§5: "an asynchronous RPC
-// module for message passing between processes. It uses TCP"). Delivery runs
-// on the host's EventLoop thread, so protocol code sees the identical
-// single-threaded contract as under the simulator.
+// module for message passing between processes. It uses TCP"). The host's
+// EventLoop is its reactor: the loop's IoDriver (epoll or io_uring,
+// RSPAXOS_IO_BACKEND selects) carries the listener, every inbound connection
+// and every outbound peer socket, and the same thread runs the protocol's
+// handlers and timers. Protocol code therefore sees the identical
+// single-threaded contract as under the simulator, and a frame goes from
+// socket to handler without a thread hop.
 //
 // Since the multi-group node host change, one physical endpoint (socket +
-// I/O driver + I/O thread + EventLoop) can serve many logical NodeContexts: a
-// HostMap (net/routing.h) collapses composite endpoint NodeIds onto hosts,
-// every frame carries its destination endpoint in the header, and the
-// receiving host demultiplexes inbound frames to the right TcpNode on the
-// shared loop. The default HostMap is the identity, preserving the historical
-// one-node-per-socket behavior for existing assemblies. A HostMap with
-// reactors > 1 makes each (server, reactor) pair its own TcpHost — N listen
-// sockets, loops and I/O threads per machine with round-robin static group
-// placement — so frames land directly on the owning reactor's socket and
-// consensus for independent shards runs truly in parallel.
+// EventLoop) can serve many logical NodeContexts: a HostMap (net/routing.h)
+// collapses composite endpoint NodeIds onto hosts, every frame carries its
+// destination endpoint in the header, and the receiving host demultiplexes
+// inbound frames to the right TcpNode. The default HostMap is the identity,
+// preserving the historical one-node-per-socket behavior for existing
+// assemblies. A HostMap with reactors > 1 makes each (server, reactor) pair
+// its own TcpHost — N listen sockets and loop threads per machine with
+// round-robin static group placement — so frames land directly on the owning
+// reactor's socket and consensus for independent shards runs truly in
+// parallel.
 //
 // send() never touches a socket: it appends the frame to a bounded per-peer
 // outbound queue (drop-oldest backpressure, preserving the datagram
-// semantics of the NodeContext contract) and, at most, writes one eventfd
-// wakeup. The I/O thread drains queues with writev — header + payload and
-// multiple queued frames coalesce into a single vectored syscall — and folds
-// all inbound connections into the same epoll loop with reusable per-
-// connection decode buffers. Outbound connects are asynchronous
-// (EINPROGRESS) with exponential-backoff reconnect, so an unreachable peer
-// never stalls the caller. All endpoints sharing a host also share its
-// per-peer-host queues and connections.
+// semantics of the NodeContext contract). A send on the loop thread marks
+// the peer for the flush at the end of the loop cycle, so a handler's replies
+// leave together with no wakeup; a send from another thread posts that flush
+// to the loop. The flush drains queues with writev — header + payload and
+// multiple queued frames coalesce into a single vectored syscall. Inbound,
+// each connection keeps one decode buffer and complete frames are handed to
+// handlers in place. Outbound connects are asynchronous (EINPROGRESS) with
+// exponential-backoff reconnect timers, so an unreachable peer never stalls
+// the caller. All endpoints sharing a host also share its per-peer-host
+// queues and connections.
 //
-// Frame format: see net/frame.h (v2, with a destination endpoint field).
+// Frame format: see net/frame.h (v3: destination endpoint and trace context).
 #pragma once
 
 #include <array>
@@ -42,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
@@ -50,7 +54,6 @@
 #include "net/transport.h"
 #include "obs/transport_metrics.h"
 #include "util/event_loop.h"
-#include "util/io_driver.h"
 #include "util/status.h"
 
 namespace rspaxos::net {
@@ -65,8 +68,8 @@ class TcpTransport;
 class TcpHost;
 
 /// NodeContext bound to a logical endpoint on a TcpHost. Thin: the socket,
-/// I/O driver, I/O thread and outbound queues all live on the host and are
-/// shared with every other endpoint the host serves.
+/// loop and outbound queues all live on the host and are shared with every
+/// other endpoint the host serves.
 class TcpNode final : public NodeContext {
  public:
   ~TcpNode() override = default;
@@ -91,7 +94,7 @@ class TcpNode final : public NodeContext {
   /// queue. Any thread — the health watchdog samples this each probe.
   uint64_t max_peer_queue_depth() const;
 
-  /// Stops the owning host: I/O thread joined, all sockets closed. Every
+  /// Stops the owning host: loop thread joined, all sockets closed. Every
   /// endpoint sharing the host goes quiet with it; queued-but-unsent frames
   /// are dropped (datagram semantics).
   void shutdown();
@@ -114,10 +117,10 @@ class TcpNode final : public NodeContext {
   obs::TransportMetrics metrics_;
 };
 
-/// One physical endpoint: listener socket, I/O driver (epoll or io_uring),
-/// I/O thread, EventLoop and per-peer-host outbound queues, serving every
-/// TcpNode mapped onto it. With a reactors > 1 HostMap, one machine runs
-/// several TcpHosts — one per reactor.
+/// One physical endpoint: listener socket, EventLoop (reactor + protocol
+/// thread) and per-peer-host outbound queues, serving every TcpNode mapped
+/// onto it. With a reactors > 1 HostMap, one machine runs several TcpHosts —
+/// one per reactor.
 class TcpHost {
  public:
   ~TcpHost();
@@ -125,24 +128,16 @@ class TcpHost {
   HostId id() const { return id_; }
   EventLoop& loop() { return loop_; }
 
-  /// Stops the I/O thread, closes all sockets, joins. Called by the
-  /// destructor; queued-but-unsent frames are dropped (datagram semantics).
+  /// Stops the loop thread, closes all sockets. Called by the destructor;
+  /// queued-but-unsent frames are dropped (datagram semantics). Never from
+  /// the loop thread.
   void shutdown();
 
  private:
   friend class TcpNode;
   friend class TcpTransport;
 
-  // I/O driver registration tag kinds (stored as the readiness tag).
-  struct Peer;
-  struct Conn;
-  enum class TagKind : uint8_t { kWake, kListen, kPeer, kConn };
-  struct FdTag {
-    TagKind kind;
-    void* p;  // Peer* or Conn* (null for wake/listen)
-  };
-
-  /// One queued outbound frame: fixed header + owned payload. The I/O thread
+  /// One queued outbound frame: fixed header + owned payload. The flush
   /// points iovecs straight at these, so header and payload are never copied
   /// again after enqueue.
   struct OutFrame {
@@ -154,8 +149,9 @@ class TcpHost {
   enum class PeerState : uint8_t { kIdle, kConnecting, kConnected };
 
   /// Outbound state toward one peer host. `mu`/`q`/`q_bytes` are the only
-  /// fields shared with senders; everything else is I/O-thread private.
-  struct Peer {
+  /// fields shared with senders; everything else is loop-thread private.
+  struct Peer final : EventLoop::IoHandler {
+    TcpHost* host = nullptr;
     HostId id = 0;
     PeerAddr addr;
 
@@ -163,29 +159,38 @@ class TcpHost {
     std::deque<OutFrame> q;  // guarded by mu
     size_t q_bytes = 0;      // guarded by mu
 
-    // I/O-thread private from here on.
+    // Loop-thread private from here on.
     int fd = -1;
     PeerState state = PeerState::kIdle;
     bool want_write = false;            // EPOLLOUT currently armed
+    bool dirty = false;                 // on the host's cycle-end flush list
     std::deque<OutFrame> inflight;      // moved off q; survives partial writev
     size_t head_off = 0;                // bytes of inflight.front() already written
     TimeMicros retry_at = 0;            // steady-us deadline before next connect
     DurationMicros backoff = 0;
-    FdTag tag{TagKind::kPeer, nullptr};
 
     obs::Gauge* depth_gauge = nullptr;
     obs::Gauge* bytes_gauge = nullptr;
+
+    void on_io(uint32_t events) override { host->handle_peer_event(this, events); }
   };
 
-  /// One accepted inbound connection: rolling decode buffer reused across
-  /// frames (no per-message allocation for small frames; completed frames in
-  /// one read burst are copied out and posted to the EventLoop as a batch).
-  struct Conn {
+  /// One accepted inbound connection and its rolling decode buffer. Complete
+  /// frames are handed to handlers as views into the buffer, then the
+  /// trailing partial frame moves to the front: no per-message allocation.
+  struct Conn final : EventLoop::IoHandler {
+    TcpHost* host = nullptr;
     int fd = -1;
     Bytes buf;
     size_t filled = 0;
-    FdTag tag{TagKind::kConn, nullptr};
     std::list<std::unique_ptr<Conn>>::iterator self;
+
+    void on_io(uint32_t events) override;
+  };
+
+  struct Listener final : EventLoop::IoHandler {
+    TcpHost* host = nullptr;
+    void on_io(uint32_t) override { host->on_acceptable(); }
   };
 
   TcpHost(TcpTransport* t, HostId id, int listen_fd);
@@ -199,41 +204,29 @@ class TcpHost {
   /// dropped; peers retransmit).
   void register_endpoint(TcpNode* ep);
 
-  void io_loop();
   void on_acceptable();
   void on_conn_readable(Conn* c);
   void close_conn(Conn* c);
-  /// Returns false when the connection hit a fatal frame and must be closed
-  /// by the caller (close_conn destroys the Conn, so this function never
-  /// closes it itself — the caller must not touch *c after a false return).
-  bool decode_and_dispatch(Conn* c);
-  Bytes take_read_buf(size_t min_bytes);
-  void recycle_read_buf(Bytes b);
+  /// Hands every complete frame in c->buf to its endpoint's handler. Returns
+  /// false when the connection hit a fatal frame and must be closed by the
+  /// caller (close_conn destroys the Conn, so this function never closes it
+  /// itself — the caller must not touch *c after a false return).
+  bool deliver_frames(Conn* c);
+  /// Queues `p` for the flush at the end of this loop cycle. Loop thread.
+  void mark_dirty(Peer* p);
+  void flush_dirty();
   void flush_peer(Peer* p);
   void start_connect(Peer* p);
   void handle_peer_event(Peer* p, uint32_t events);
   void peer_disconnected(Peer* p, const char* why);
   void set_peer_writable_interest(Peer* p, bool want);
-  int io_timeout_ms() const;
-  static TimeMicros steady_now_us();
 
   TcpTransport* transport_;
   HostId id_;
   int listen_fd_;
-  std::unique_ptr<util::IoDriver> driver_;
-  int wake_fd_ = -1;
-  FdTag wake_tag_{TagKind::kWake, nullptr};
-  FdTag listen_tag_{TagKind::kListen, nullptr};
-  // Whether the I/O thread was launched (driver/eventfd setup succeeded).
-  // Written once in the constructor; checked by start_node() to surface a
-  // dead host as a Status and by shutdown() for listen_fd_ ownership.
-  bool io_started_ = false;
+  Listener listener_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> send_drops_{0};
-  // True while the I/O thread is processing an epoll batch. Senders elide the
-  // eventfd wake when set; the I/O thread clears it and then rescans every
-  // queue, so a frame enqueued during the busy window is always picked up.
-  std::atomic<bool> io_busy_{false};
   // send() stall timing is sampled 1-in-16 (two clock reads per frame are
   // measurable at millions of frames/s); this is the sample counter.
   std::atomic<uint32_t> stall_sample_{0};
@@ -242,27 +235,22 @@ class TcpHost {
   // Built once in the constructor from the transport's address map and
   // immutable afterwards, so lookups need no lock.
   std::map<HostId, std::unique_ptr<Peer>> peers_;
-  std::list<std::unique_ptr<Conn>> conns_;  // I/O-thread private
 
-  // Loop-thread-confined: inbound frames are demultiplexed to endpoints from
-  // delivery tasks running on loop_, and registrations are posted onto it.
+  // Loop-thread-confined: connections, the cycle-end flush list, and the
+  // endpoint map inbound frames are demultiplexed with.
+  std::list<std::unique_ptr<Conn>> conns_;
+  std::vector<Peer*> dirty_;
   std::map<NodeId, TcpNode*> endpoints_;
 
-  // Recycled receive buffers: decode_and_dispatch moves each filled buffer
-  // into the delivery task and takes a replacement here, so steady-state
-  // receive allocates nothing (a fresh Bytes would zero-fill kReadBufBytes
-  // per read burst).
-  std::mutex buf_pool_mu_;
-  std::vector<Bytes> buf_pool_;
-
+  // Last member: its thread stops first on destruction, after every field
+  // the loop's callbacks touch has been constructed.
   EventLoop loop_;
-  std::thread io_thread_;
 };
 
 /// Builds TcpNodes from a static address map keyed by *host* id. With the
 /// default identity HostMap every NodeId is its own host (one socket per
 /// node, the historical behavior); with a strided HostMap all of a server's
-/// group endpoints share one socket, loop and I/O thread.
+/// group endpoints share one socket and loop.
 class TcpTransport {
  public:
   /// addrs[h] is the listen address of host h. With the identity HostMap,

@@ -71,7 +71,7 @@ class NodeHost {
   /// Runs `fn` on the endpoint's execution context. Empty = invoke inline
   /// (correct for the single-threaded simulator). Threaded transports must
   /// post (e.g. via `ctx->set_timer(0, fn)`) so handler registration and
-  /// Replica::start never race the I/O thread.
+  /// Replica::start never race the loop thread.
   using PostFn = std::function<void(NodeContext*, std::function<void()>)>;
 
   /// `wals` carries one MuxWal per reactor; wals.size() IS the reactor count

@@ -224,7 +224,7 @@ TcpCluster::~TcpCluster() {
   // submissions), drain the EC pool while the loops still run (queued
   // completions post onto live contexts), stop the WALs (their flushers
   // post durability callbacks onto the nodes the transport owns), then
-  // join the I/O threads; only afterwards is it safe to destroy servers,
+  // join the loop threads; only afterwards is it safe to destroy servers,
   // WALs and stores (no delivery or completion can be in flight).
   for (auto& a : admins_) {
     if (a) a->stop();

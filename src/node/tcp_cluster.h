@@ -2,7 +2,7 @@
 // SimCluster for the §5 substrate.
 //
 // Each of the `num_servers` machines runs `reactors` reactors; each reactor
-// gets its OWN listen port + I/O thread (TcpHost via the reactor-aware
+// gets its OWN listen port + loop thread (TcpHost via the reactor-aware
 // HostMap{kGroupStride, reactors}), its own fsync'ing FileWal (multiplexed
 // across its groups) and its own health watchdog. Group g of every server is
 // statically placed on reactor g % reactors, so a frame addressed to an
@@ -82,7 +82,7 @@ struct TcpClusterOptions {
 
 /// Owns the transport, per-server WALs/snapshot stores and NodeHosts. start()
 /// brings every server up; the destructor tears down in the safe order
-/// (handlers detached, I/O threads joined, then state freed).
+/// (handlers detached, loop threads joined, then state freed).
 class TcpCluster {
  public:
   static StatusOr<std::unique_ptr<TcpCluster>> start(TcpClusterOptions opts);

@@ -351,11 +351,18 @@ void FileWal::append(uint32_t g, Bytes record, Wal::DurableFn cb) {
   p.group = g;
   p.framed = frame_data_record(g, record);
   p.cb = std::move(cb);
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lk(mu_);
+    was_empty = staged_.empty();
     staged_.push_back(std::move(p));
   }
-  cv_.notify_one();
+  // Only an append onto an empty stage can find the flusher waiting for
+  // work. A non-empty stage means the flusher is already awake for it: in
+  // its group-commit window (which waits on stopping_ alone, so a notify
+  // there is a spurious wake) or mid-flush, after which it re-checks
+  // staged_ under the lock before sleeping.
+  if (was_empty) cv_.notify_one();
 }
 
 void FileWal::truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) {

@@ -18,7 +18,7 @@
 // with uring support still runs on older kernels.
 //
 // Threading contract: a driver instance is single-owner — all calls must come
-// from one thread at a time (the reactor I/O thread, or the WAL flusher).
+// from one thread at a time (the reactor's loop thread, or the WAL flusher).
 // Each reactor and each FileWal flusher owns its own driver instance; they do
 // NOT share a ring, because the flusher runs on its own thread and a shared
 // ring would put a lock on both hot paths (see DESIGN.md §12).

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "sim/sim_disk.h"
@@ -342,6 +343,41 @@ TEST_F(FileWalTest, GroupCommitWindowBatchesAppends) {
   all.get_future().wait();
   // All 20 appends landed within one or two windows.
   EXPECT_LE(wal.value()->flush_ops(), 3u);
+}
+
+// The flusher is woken only by an append onto an empty stage. An append that
+// lands while the flusher is writing and syncing the previous batch (its
+// stage is empty then) must still be flushed, with no later append to wake
+// the flusher again. Two landings: from the first record's durable callback,
+// which runs on the flusher thread right after its write_and_sync, and from
+// another thread while a multi-megabyte batch is being written.
+TEST_F(FileWalTest, AppendDuringFlushIsFlushedWithoutFurtherAppend) {
+  auto wal = FileWal::open(path_.string(), 200);
+  ASSERT_TRUE(wal.is_ok());
+  storage::Wal* g = wal.value()->group(0);
+
+  std::promise<void> second;
+  g->append(Bytes(10, 1), [&](Status st, WalPos) {
+    EXPECT_TRUE(st.is_ok());
+    g->append(Bytes(10, 2), [&](Status st2, WalPos) {
+      EXPECT_TRUE(st2.is_ok());
+      second.set_value();
+    });
+  });
+  ASSERT_EQ(second.get_future().wait_for(std::chrono::seconds(5)), std::future_status::ready);
+
+  std::promise<void> big_durable;
+  std::promise<void> small_durable;
+  g->append(Bytes(8u << 20, 3), [&](Status, WalPos) { big_durable.set_value(); });
+  auto big = big_durable.get_future();
+  // Past the 200 us window the flusher has taken the big batch and is inside
+  // write_and_sync; the stage it left behind is empty.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  bool landed_mid_flush = big.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  g->append(Bytes(10, 4), [&](Status, WalPos) { small_durable.set_value(); });
+  ASSERT_EQ(small_durable.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  if (!landed_mid_flush) GTEST_SKIP() << "the 8 MiB flush finished within 2 ms";
 }
 
 // Property sweep: truncate the log inside (or at the start of) the final

@@ -1,21 +1,26 @@
 // Real-transport tests: the epoll TCP transport (sockets, framing, CRC
-// rejection, non-blocking sends, reconnect, per-peer ordering under stress)
-// and the NodeContext contract the protocol depends on (timers on the node's
-// loop thread, bytes_sent accounting).
+// rejection, non-blocking sends, reconnect, per-peer ordering under stress),
+// the NodeContext contract the protocol depends on (timers on the node's
+// loop thread, bytes_sent accounting), and the host's thread model (one
+// reactor thread that runs sockets, handlers, timers and tasks).
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/frame.h"
 #include "net/tcp_transport.h"
@@ -344,6 +349,212 @@ TEST_F(TcpTest, OversizedFrameClosesConnectionTransportSurvives) {
     std::lock_guard<std::mutex> lk(rx.mu);
     EXPECT_EQ(to_string(rx.received[1].second), "still-works");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Thread model: a host is one thread. Its EventLoop is the reactor, so socket
+// reads, handlers, timers and posted tasks all run on it.
+
+size_t thread_count() {
+  size_t n = 0;
+  DIR* d = ::opendir("/proc/self/task");
+  if (d == nullptr) return 0;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(d);
+  return n;
+}
+
+TEST(TcpThreadModel, StartedHostAddsExactlyOneThread) {
+  auto ports = TcpTransport::free_ports(2);
+  ASSERT_EQ(ports.size(), 2u);
+  std::map<NodeId, PeerAddr> addrs{
+      {1, PeerAddr{"127.0.0.1", ports[0]}},
+      {2, PeerAddr{"127.0.0.1", ports[1]}},
+  };
+  TcpTransport t(addrs);
+  size_t before = thread_count();
+  ASSERT_GT(before, 0u);
+  auto n1 = t.start_node(1);
+  ASSERT_TRUE(n1.is_ok()) << n1.status().to_string();
+  EXPECT_EQ(thread_count(), before + 1);
+  auto n2 = t.start_node(2);
+  ASSERT_TRUE(n2.is_ok()) << n2.status().to_string();
+  EXPECT_EQ(thread_count(), before + 2);
+
+  // Traffic starts no helper thread either.
+  Collector rx;
+  n2.value()->set_handler(&rx);
+  n1.value()->send(2, MsgType::kTestPing, to_bytes("one-thread"));
+  ASSERT_TRUE(rx.wait_for(1));
+  EXPECT_EQ(thread_count(), before + 2);
+}
+
+// Records the thread and the context-thread verdict of every callback kind.
+struct ThreadProbe {
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, bool>> seen;
+  void record(const NodeContext* ctx) {
+    std::lock_guard<std::mutex> lk(mu);
+    seen.emplace_back(std::this_thread::get_id(), ctx->on_context_thread());
+  }
+};
+
+struct ProbeHandler final : MessageHandler {
+  const NodeContext* ctx;
+  ThreadProbe* probe;
+  std::promise<void> got;
+  void on_message(NodeId, MsgType, BytesView) override {
+    probe->record(ctx);
+    got.set_value();
+  }
+};
+
+TEST_F(TcpTest, HandlersTimersAndTasksRunOnTheContextThread) {
+  ThreadProbe probe;
+  ProbeHandler h;
+  h.ctx = node2_;
+  h.probe = &probe;
+  auto got = h.got.get_future();
+  node2_->set_handler(&h);
+  node1_->send(2, MsgType::kTestPing, Bytes{1});
+  ASSERT_EQ(got.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+
+  std::promise<void> timer_fired;
+  node2_->set_timer(100, [&] {
+    probe.record(node2_);
+    timer_fired.set_value();
+  });
+  ASSERT_EQ(timer_fired.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+
+  std::promise<void> task_ran;
+  node2_->loop().post([&] {
+    probe.record(node2_);
+    task_ran.set_value();
+  });
+  ASSERT_EQ(task_ran.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+
+  EXPECT_FALSE(node2_->on_context_thread());
+  std::lock_guard<std::mutex> lk(probe.mu);
+  ASSERT_EQ(probe.seen.size(), 3u);
+  for (const auto& [tid, on_ctx] : probe.seen) {
+    EXPECT_TRUE(on_ctx);
+    EXPECT_EQ(tid, probe.seen[0].first);
+  }
+}
+
+// The loop thread's id is published before the constructor returns, so a
+// post or send from another thread right after start-up reads a settled id
+// (TSan flags the race otherwise) and is never mistaken for the loop's own.
+TEST(TcpThreadModel, LoopThreadIdPublishedBeforeFirstCrossThreadPost) {
+  for (int i = 0; i < 20; ++i) {
+    EventLoop loop;
+    std::atomic<bool> task_on_loop{false};
+    std::thread foreign([&] {
+      EXPECT_FALSE(loop.on_loop_thread());
+      loop.post([&] { task_on_loop = loop.on_loop_thread(); });
+    });
+    foreign.join();
+    loop.drain();
+    EXPECT_TRUE(task_on_loop.load());
+  }
+
+  auto ports = TcpTransport::free_ports(2);
+  ASSERT_EQ(ports.size(), 2u);
+  std::map<NodeId, PeerAddr> addrs{
+      {1, PeerAddr{"127.0.0.1", ports[0]}},
+      {2, PeerAddr{"127.0.0.1", ports[1]}},
+  };
+  TcpTransport t(addrs);
+  Collector rx;
+  auto n2 = t.start_node(2);
+  ASSERT_TRUE(n2.is_ok()) << n2.status().to_string();
+  n2.value()->set_handler(&rx);
+  std::thread foreign([&] {
+    auto n1 = t.start_node(1);
+    ASSERT_TRUE(n1.is_ok()) << n1.status().to_string();
+    n1.value()->send(2, MsgType::kTestPing, to_bytes("first-send"));
+  });
+  foreign.join();
+  ASSERT_TRUE(rx.wait_for(1, 5000));
+}
+
+// stop() lets the tasks queued before it run, as the pre-reactor loop did;
+// later posts are dropped and drain() on the stopped loop returns.
+TEST(TcpThreadModel, StopRunsTasksQueuedBeforeIt) {
+  EventLoop loop;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::atomic<int> ran{0};
+  loop.post([open] { open.wait(); });  // holds the loop while the rest queue
+  for (int i = 0; i < 100; ++i) loop.post([&ran] { ran++; });
+  std::thread stopper([&loop] { loop.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.set_value();
+  stopper.join();
+  EXPECT_EQ(ran.load(), 100);
+  loop.post([&ran] { ran++; });
+  loop.drain();
+  EXPECT_EQ(ran.load(), 100);
+}
+
+// Timers keep microsecond resolution: they fire in deadline order, never
+// before their deadline, and a chain of 100 us timers is not stretched to
+// whole milliseconds (epoll_wait's timeout unit).
+TEST(TcpThreadModel, SubMillisecondTimersFireInOrderNeverEarly) {
+  EventLoop loop;
+  const std::vector<DurationMicros> delays = {900, 100, 500, 300, 700, 200, 800, 400, 600, 1000};
+  std::mutex mu;
+  std::vector<DurationMicros> order;
+  std::vector<DurationMicros> early;
+  std::promise<void> all;
+  loop.post([&] {
+    // Deadlines are base + d, whatever time the scheduling calls take.
+    TimeMicros base = loop.now();
+    for (DurationMicros d : delays) {
+      TimeMicros armed = loop.now();
+      DurationMicros delay = base + d - armed;
+      loop.schedule(delay, [&, d, armed, delay] {
+        std::lock_guard<std::mutex> lk(mu);
+        if (loop.now() - armed < delay) early.push_back(d);
+        order.push_back(d);
+        if (order.size() == delays.size()) all.set_value();
+      });
+    }
+  });
+  ASSERT_EQ(all.get_future().wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    std::vector<DurationMicros> sorted = delays;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(order, sorted);
+    EXPECT_TRUE(early.empty()) << early.size() << " timers fired early";
+  }
+
+  // A chain of 50 timers of 100 us each: 5 ms when honoured, >= 50 ms when
+  // each wait rounds up to a millisecond.
+  constexpr int kChain = 50;
+  std::promise<void> chain_done;
+  int left = kChain;
+  std::function<void()> step = [&] {
+    if (--left == 0) {
+      chain_done.set_value();
+      return;
+    }
+    loop.schedule(100, step);
+  };
+  auto t0 = std::chrono::steady_clock::now();
+  loop.schedule(100, step);
+  ASSERT_EQ(chain_done.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  auto chain_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_GE(chain_us, kChain * 100);
+  EXPECT_LT(chain_us, 40'000) << "100 us timers were rounded up";
 }
 
 // ---------------------------------------------------------------------------
