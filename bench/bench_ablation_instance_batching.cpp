@@ -1,10 +1,15 @@
 // Ablation: instance-level write batching (§7's RPC/IO batching applied to
-// whole Paxos instances). Small concurrent writes arriving within a short
-// window are committed as one composite coded instance — one quorum round
-// trip, one WAL record, one erasure encoding for the whole batch.
+// whole Paxos instances). Small concurrent writes are committed as one
+// composite coded instance — one quorum round trip, one WAL record, one
+// erasure encoding for the whole batch.
 //
-// Measures small-write throughput with the batch window off/on across disks,
-// for both protocols.
+// Measures small-write throughput with the default window 0 (a batch closes
+// at the end of the cycle that opened it: in the simulator, only writes that
+// arrive in the same instant share an instance) against a 2 ms hold window,
+// across disks, for both protocols, at 1 KB and 4 KB. Clients reach the
+// servers over the LAN links, so their writes arrive independently; over
+// free links the closed loop runs in lockstep and window 0 already packs
+// each round into as few instances as the cap allows.
 #include <cstdio>
 
 #include "common.h"
@@ -35,6 +40,7 @@ double measure_mbps(bool rs_mode, const DiskKind& disk, DurationMicros window,
   spec.num_clients = 48;
   spec.key_space = 192;
   spec.total_ops = 2000;
+  spec.free_client_links = false;
   WorkloadDriver driver(world.get(), &cluster, spec);
   RunResult r = driver.run();
   return r.throughput_mbps();
@@ -43,21 +49,25 @@ double measure_mbps(bool rs_mode, const DiskKind& disk, DurationMicros window,
 }  // namespace
 
 int main() {
-  std::printf("=== Ablation: instance batching (paper §7), 48 clients, 4 KB writes ===\n\n");
-  std::printf("%-10s %-6s %16s %18s %8s\n", "protocol", "disk", "unbatched Mbps",
-              "batched(2ms) Mbps", "gain");
-  for (bool rs : {false, true}) {
-    for (const DiskKind& d : {hdd(), ssd()}) {
-      double off = measure_mbps(rs, d, 0, 4 << 10);
-      double on = measure_mbps(rs, d, 2 * kMillis, 4 << 10);
-      std::printf("%-10s %-6s %16.1f %18.1f %7.1fx\n", rs ? "RS-Paxos" : "Paxos",
-                  d.name, off, on, off > 0 ? on / off : 0.0);
+  std::printf("=== Ablation: instance batching (paper §7), 48 clients ===\n\n");
+  std::printf("%-10s %-6s %6s %16s %18s %8s\n", "protocol", "disk", "write", "window 0 Mbps",
+              "window 2ms Mbps", "gain");
+  for (size_t size : {size_t{1} << 10, size_t{4} << 10}) {
+    for (bool rs : {false, true}) {
+      for (const DiskKind& d : {hdd(), ssd()}) {
+        double off = measure_mbps(rs, d, 0, size);
+        double on = measure_mbps(rs, d, 2 * kMillis, size);
+        std::printf("%-10s %-6s %4zuKB %16.1f %18.1f %7.1fx\n", rs ? "RS-Paxos" : "Paxos",
+                    d.name, size >> 10, off, on, off > 0 ? on / off : 0.0);
+      }
     }
   }
-  std::printf("\nshape check: batching pays off exactly where §7 says — \"especially\n"
-              "when disk performs badly handling small writes\" (HDD gains); on a\n"
-              "fast SSD the window delay costs more than the amortization saves,\n"
-              "because unbatched instances already pipeline across slots. Gains are\n"
-              "protocol-independent: batching is orthogonal to erasure coding.\n");
+  std::printf("\nshape check: holding writes for a window pays off exactly where §7 says —\n"
+              "\"especially when disk performs badly handling small writes\" (HDD gains at\n"
+              "1 KB, where one round of 48 writes fits one batch); on a fast SSD the hold\n"
+              "costs more than the amortization saves, because instances already\n"
+              "pipeline across slots. At 4 KB the 64 KiB batch cap closes each batch\n"
+              "after 16 writes, before the window matters. Gains are protocol-\n"
+              "independent: batching is orthogonal to erasure coding.\n");
   return 0;
 }

@@ -222,6 +222,10 @@ class Replica final : public MessageHandler {
   /// Share bytes the log holds in memory (evicted shares excluded; a buffer
   /// a KV row also references counts here too).
   uint64_t resident_share_bytes() const { return resident_share_bytes_; }
+  /// Highest slot the horizon has passed: every applied entry at or below
+  /// it has dropped its cached payload (and its share, when a WAL record can
+  /// give it back). 0 until the applied index passes payload_cache_slots.
+  Slot payload_floor() const { return gc_floor_; }
 
   /// Test hook: identities (SharedBytes::id) of the value buffers the log
   /// entry for `slot` holds — its share and its cached payload. Both null

@@ -17,6 +17,7 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
                    ReplicaOptions opts, KvServerOptions kv_opts,
                    snapshot::SnapshotStore* snap)
     : ctx_(ctx), kv_opts_(kv_opts), group_(opts.group_id),
+      track_sliced_(opts.payload_cache_slots != 0),
       replica_(ctx, wal, std::move(cfg), opts) {
   replica_.set_apply([this](const ApplyView& view) { apply_entry(view); });
   replica_.set_on_role_change([this](bool leader) { on_role_change(leader); });
@@ -244,31 +245,10 @@ void KvServer::handle_client(NodeId from, ClientRequest req) {
 
 void KvServer::do_put(NodeId from, ClientRequest req) {
   m_.puts.inc();
-  size_t bytes = req.value.size();
   uint32_t shard = shard_of_key(req.key);
-  admission_acquire(bytes);
+  admission_acquire(req.value.size());
   shard_inflight_acquire(shard);
-  // Meta keys bypass batching: the routing map must never hide inside a
-  // composite instance (followers publish it via a single-slot recovery).
-  if (kv_opts_.batch_window > 0 && !is_meta_key(req.key)) {
-    enqueue_batch(from, req.req_id, Op::kPut, std::move(req.key), std::move(req.value),
-                  shard);
-    return;
-  }
-  CommandHeader h;
-  h.op = Op::kPut;
-  h.key = req.key;
-  uint64_t req_id = req.req_id;
-  replica_.propose(h.encode(), std::move(req.value),
-                   [this, from, req_id, bytes, shard](StatusOr<consensus::Slot> r) {
-                     admission_release(bytes);
-                     shard_inflight_release(shard);
-                     if (r.is_ok()) {
-                       reply(from, req_id, ReplyCode::kOk);
-                     } else {
-                       reply(from, req_id, ReplyCode::kRetry);
-                     }
-                   });
+  submit_write(from, req.req_id, Op::kPut, std::move(req.key), std::move(req.value), shard);
 }
 
 void KvServer::do_delete(NodeId from, ClientRequest req) {
@@ -276,34 +256,25 @@ void KvServer::do_delete(NodeId from, ClientRequest req) {
   uint32_t shard = shard_of_key(req.key);
   admission_acquire(0);
   shard_inflight_acquire(shard);
-  if (kv_opts_.batch_window > 0 && !is_meta_key(req.key)) {
-    enqueue_batch(from, req.req_id, Op::kDelete, std::move(req.key), Bytes{}, shard);
-    return;
-  }
-  CommandHeader h;
-  h.op = Op::kDelete;
-  h.key = req.key;
-  uint64_t req_id = req.req_id;
-  replica_.propose(h.encode(), Bytes{},
-                   [this, from, req_id, shard](StatusOr<consensus::Slot> r) {
-                     admission_release(0);
-                     shard_inflight_release(shard);
-                     reply(from, req_id, r.is_ok() ? ReplyCode::kOk : ReplyCode::kRetry);
-                   });
+  submit_write(from, req.req_id, Op::kDelete, std::move(req.key), Bytes{}, shard);
 }
 
-void KvServer::enqueue_batch(NodeId from, uint64_t req_id, Op op, std::string key,
-                             Bytes value, uint32_t shard) {
-  BatchItem item;
-  item.op = op;
-  item.key = std::move(key);
-  item.offset = batch_.payload.size();
-  item.len = value.size();
-  batch_.items.push_back(std::move(item));
-  batch_.payload.insert(batch_.payload.end(), value.begin(), value.end());
-  batch_.waiters.push_back(BatchWaiter{from, req_id, shard});
-
-  if (batch_.payload.size() >= kBatchMaxBytes || batch_.items.size() >= kBatchMaxCount) {
+void KvServer::submit_write(NodeId from, uint64_t req_id, Op op, std::string key, Bytes value,
+                            uint32_t shard) {
+  // Meta keys bypass batching: the routing map must never hide inside a
+  // composite instance (followers publish it via a single-slot recovery).
+  // A value at the cap goes alone. Either way the open batch goes first, so
+  // slots keep arrival order.
+  if (is_meta_key(key) || value.size() >= kBatchMaxBytes) {
+    flush_batch();
+    propose_write(from, req_id, op, std::move(key), std::move(value), shard);
+    return;
+  }
+  batch_.bytes += value.size();
+  batch_.items.push_back(BatchItem{op, std::move(key), 0, value.size()});
+  batch_.values.push_back(std::move(value));
+  batch_.waiters.push_back(BatchWaiter{from, req_id, shard, obs::current_span()});
+  if (batch_.bytes >= kBatchMaxBytes || batch_.items.size() >= kBatchMaxCount) {
     flush_batch();
     return;
   }
@@ -315,6 +286,20 @@ void KvServer::enqueue_batch(NodeId from, uint64_t req_id, Op op, std::string ke
   }
 }
 
+void KvServer::propose_write(NodeId from, uint64_t req_id, Op op, std::string key, Bytes value,
+                             uint32_t shard) {
+  CommandHeader h;
+  h.op = op;
+  h.key = std::move(key);
+  size_t bytes = value.size();
+  replica_.propose(h.encode(), std::move(value),
+                   [this, from, req_id, bytes, shard](StatusOr<consensus::Slot> r) {
+                     admission_release(bytes);
+                     shard_inflight_release(shard);
+                     reply(from, req_id, r.is_ok() ? ReplyCode::kOk : ReplyCode::kRetry);
+                   });
+}
+
 void KvServer::flush_batch() {
   if (batch_timer_ != 0) {
     ctx_->cancel_timer(batch_timer_);
@@ -323,15 +308,41 @@ void KvServer::flush_batch() {
   if (batch_.items.empty()) return;
   PendingBatch batch;
   std::swap(batch, batch_);
+  // The instance joins the first write's trace, as that write's own
+  // proposal would have.
+  obs::SpanScope scope(batch.waiters.front().span);
+  if (batch.items.size() == 1) {
+    const BatchWaiter& w = batch.waiters.front();
+    propose_write(w.client, w.req_id, batch.items.front().op,
+                  std::move(batch.items.front().key), std::move(batch.values.front()),
+                  w.shard);
+    return;
+  }
+  Bytes payload;
+  payload.reserve(batch.bytes);
+  for (size_t i = 0; i < batch.items.size(); ++i) {
+    batch.items[i].offset = payload.size();
+    payload.insert(payload.end(), batch.values[i].begin(), batch.values[i].end());
+  }
+  batch.values.clear();
   BatchHeader h;
   h.items = std::move(batch.items);
-  auto waiters = std::move(batch.waiters);
-  size_t batch_bytes = batch.payload.size();
-  replica_.propose(h.encode(), std::move(batch.payload),
-                   [this, waiters = std::move(waiters),
-                    batch_bytes](StatusOr<consensus::Slot> r) {
+  replica_.propose(h.encode(), std::move(payload),
+                   [this, waiters = std::move(batch.waiters),
+                    batch_bytes = batch.bytes](StatusOr<consensus::Slot> r) {
                      ReplyCode code = r.is_ok() ? ReplyCode::kOk : ReplyCode::kRetry;
-                     if (r.is_ok()) m_.batches_committed.inc();
+                     if (r.is_ok()) {
+                       m_.batches_committed.inc();
+                       // The first write's trace holds the commit; each other
+                       // write's records which instance carried it.
+                       obs::Tracer& tracer = obs::Tracer::global();
+                       const auto now = static_cast<int64_t>(ctx_->now());
+                       const obs::SpanName name("batched", static_cast<uint32_t>(r.value()));
+                       for (size_t i = 1; i < waiters.size(); ++i) {
+                         tracer.end_span(
+                             tracer.start_span(waiters[i].span, name, ctx_->id(), now), now);
+                       }
+                     }
                      // Each waiter acquired one inflight slot; together they
                      // acquired the batch's payload bytes.
                      for (size_t i = 0; i < waiters.size(); ++i) {
@@ -406,17 +417,24 @@ void KvServer::finish_get(NodeId from, uint64_t req_id, const std::string& key) 
       reply(from, req_id, ReplyCode::kRetry);
       return;
     }
-    // The key's value is a slice of the (possibly batched) instance payload;
-    // the completed row references the decoded buffer the log caches.
+    // The key's value is a slice of the (possibly batched) instance payload.
+    // An unbatched row references the decoded buffer the log caches; a
+    // batched one copies its slice, so it never pins the whole instance.
+    BytesView value(payload.data() + off, len);
     const LocalStore::Record* cur = store_.find(key);
     if (cur != nullptr && cur->slot == slot && !cur->complete) {
-      store_.put_complete(key, payload, slot, off, len);
+      if (len == payload.size()) {
+        store_.put_complete(key, payload, slot);
+      } else {
+        store_.put_complete(key, SharedBytes(Bytes(value.begin(), value.end())), slot);
+      }
     }
-    reply(from, req_id, ReplyCode::kOk, BytesView(payload.data() + off, len));
+    reply(from, req_id, ReplyCode::kOk, value);
   });
 }
 
 void KvServer::apply_entry(const ApplyView& view) {
+  rehome_sliced_rows();
   auto op = peek_op(*view.header);
   if (!op.is_ok()) {
     RSP_ERROR << "kv: undecodable command header at slot " << view.slot;
@@ -484,6 +502,32 @@ void KvServer::apply_batch(const ApplyView& view) {
     }
     note_applied_write(item.key);
     if (item.key == kRoutingKey) maybe_publish_routing(view, item.offset, item.len);
+  }
+  if (track_sliced_ && view.full_payload != nullptr && h.value().items.size() > 1) {
+    std::vector<std::string> keys;
+    keys.reserve(h.value().items.size());
+    for (BatchItem& item : h.value().items) {
+      if (item.op == Op::kPut) keys.push_back(std::move(item.key));
+    }
+    sliced_.emplace_back(view.slot, std::move(keys));
+  }
+}
+
+void KvServer::rehome_sliced_rows() {
+  const consensus::Slot floor = replica_.payload_floor();
+  while (!sliced_.empty() && sliced_.front().first <= floor) {
+    const consensus::Slot slot = sliced_.front().first;
+    for (const std::string& key : sliced_.front().second) {
+      const LocalStore::Record* rec = store_.find(key);
+      // Rows since overwritten, deleted or already exact-size are left alone.
+      if (rec == nullptr || !rec->complete || rec->slot != slot ||
+          rec->data.size() == rec->slice_len) {
+        continue;
+      }
+      BytesView value = rec->value();
+      store_.put_complete(key, SharedBytes(Bytes(value.begin(), value.end())), slot);
+    }
+    sliced_.pop_front();
   }
 }
 

@@ -9,9 +9,11 @@
 //     of the key's last write before answering (§4.4, §4.5).
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "consensus/replica.h"
 #include "kv/command.h"
@@ -20,6 +22,7 @@
 #include "kv/store.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rspaxos::kv {
 
@@ -57,10 +60,14 @@ struct KvAdmissionOptions {
 /// Server-side behaviour knobs.
 struct KvServerOptions {
   /// Write batching (§7's IO/RPC batching applied at the instance level):
-  /// writes arriving within the window are committed as ONE composite
-  /// RS-Paxos instance — one quorum round trip and one WAL record for the
-  /// whole batch. 0 disables batching (every write is its own instance). A
-  /// batch also closes early at KvServer::kBatchMaxBytes / kBatchMaxCount.
+  /// every non-meta put or delete smaller than KvServer::kBatchMaxBytes joins
+  /// the open batch, which commits as ONE composite RS-Paxos instance — one
+  /// quorum round trip and one WAL record for the whole batch. The batch is
+  /// proposed from a timer set this long after its first write: 0 closes it
+  /// when the reactor cycle that opened it runs its timers, so the writes one
+  /// socket read delivers share an instance without waiting. It also closes
+  /// early at KvServer::kBatchMaxBytes / kBatchMaxCount. A batch of one
+  /// commits as a plain command.
   DurationMicros batch_window = 0;
   KvAdmissionOptions admission;
   /// Reactor hosting this group (label on the rsp_admission_* series).
@@ -71,8 +78,11 @@ struct KvServerOptions {
 class KvServer final : public MessageHandler {
  public:
   /// A write batch is proposed as soon as it holds this many value bytes or
-  /// this many writes, without waiting out KvServerOptions::batch_window.
-  static constexpr size_t kBatchMaxBytes = 4 << 20;
+  /// this many writes, without waiting out KvServerOptions::batch_window. A
+  /// value of kBatchMaxBytes or more never batches: it flushes the open batch
+  /// and commits alone. The cap is where the EC pool takes over the encode,
+  /// so a batch never turns small writes into a pool job.
+  static constexpr size_t kBatchMaxBytes = consensus::kEcAsyncMinBytes;
   static constexpr size_t kBatchMaxCount = 64;
 
   /// `snap` (optional) is the durable home of this node's checkpoint
@@ -165,11 +175,20 @@ class KvServer final : public MessageHandler {
   void do_consistent_get(NodeId from, ClientRequest req);
   void finish_get(NodeId from, uint64_t req_id, const std::string& key);
   void do_delete(NodeId from, ClientRequest req);
-  void enqueue_batch(NodeId from, uint64_t req_id, Op op, std::string key, Bytes value,
+  /// Routes an admitted put or delete: into the open batch, or (meta keys,
+  /// values at the cap) proposed alone once the open batch is flushed.
+  void submit_write(NodeId from, uint64_t req_id, Op op, std::string key, Bytes value,
+                    uint32_t shard);
+  /// Proposes one write as a plain CommandHeader instance.
+  void propose_write(NodeId from, uint64_t req_id, Op op, std::string key, Bytes value,
                      uint32_t shard);
   void flush_batch();
   void apply_entry(const consensus::ApplyView& view);
   void apply_batch(const consensus::ApplyView& view);
+  /// Copies each still-current complete row of a multi-item instance the
+  /// payload floor has passed into its own exact-size buffer, so the rows
+  /// stop pinning the whole instance once the log has let it go.
+  void rehome_sliced_rows();
   /// Serializes the applied KV state (complete rows only; fails while any
   /// share-only row remains — the checkpoint barrier needs the full image).
   StatusOr<Bytes> build_state() const;
@@ -221,19 +240,28 @@ class KvServer final : public MessageHandler {
     obs::Gauge* adm_queue_bytes = nullptr;
   } m_;
 
-  // Pending composite instance (leader only; see KvServerOptions).
+  // Open write batch (leader only; see KvServerOptions::batch_window). Values
+  // stay separate until the flush assembles them into one exact-size payload.
   struct BatchWaiter {
     NodeId client = kNoNode;
     uint64_t req_id = 0;
-    uint32_t shard = 0;  // for the per-shard inflight release
+    uint32_t shard = 0;     // for the per-shard inflight release
+    obs::SpanContext span;  // the request's trace (ambient when it arrived)
   };
   struct PendingBatch {
-    std::vector<BatchItem> items;
-    Bytes payload;
+    std::vector<BatchItem> items;  // offsets are filled in at the flush
+    std::vector<Bytes> values;
     std::vector<BatchWaiter> waiters;
+    size_t bytes = 0;
   };
   PendingBatch batch_;
   NodeContext::TimerId batch_timer_ = 0;
+  /// Multi-item instances applied with complete rows, in slot order, with
+  /// the keys they wrote: rehome_sliced_rows() works through them as the
+  /// payload floor passes. Not kept when the log caches every payload
+  /// (payload_cache_slots == 0), where the floor never moves.
+  std::deque<std::pair<consensus::Slot, std::vector<std::string>>> sliced_;
+  const bool track_sliced_;
 
   consensus::Replica replica_;
 };

@@ -4,10 +4,13 @@
 // an in-memory structure ("writes to local storage do not have to flush to
 // disks, because we already have a persistent write ahead log" §4.4).
 // Leader rows hold the complete value; follower rows hold only that
-// replica's coded share and are tagged incomplete (§4.4 Write). Rows never
-// copy value bytes: each references the immutable buffer of the log entry it
-// was applied from (the instance payload or this replica's share of it), so
-// a value has one resident copy per replica however many holders it has.
+// replica's coded share and are tagged incomplete (§4.4 Write). A row
+// references the immutable buffer of the log entry it was applied from (the
+// instance payload or this replica's share of it), so a value has one
+// resident copy per replica however many holders it has. The one exception
+// is a complete row of a batched instance: once the log drops the instance,
+// KvServer moves the row to an exact-size copy of its slice, so one live key
+// cannot pin the whole batch.
 #pragma once
 
 #include <cstdint>

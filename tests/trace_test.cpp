@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -216,6 +217,90 @@ TEST(TracePropagation, TcpPutJoinsSpansFromEveryThread) {
   EXPECT_GE(closed_follower_fsyncs, 1) << Tracer::global().recent_json(16);
 
   cluster.reset();  // joins every I/O thread, incl. the client node's loop
+  client.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Puts one client turn sends arrive in one server read and commit as one
+// batched instance. The first write's trace carries that instance's commit
+// tree; every other write's trace records a zero-length "batched:<slot>"
+// span naming the instance that carried it. Every tree stays connected.
+TEST(TracePropagation, TcpBurstKeepsConnectedTrees) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("rspaxos_trace_burst_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  node::TcpClusterOptions opts;
+  opts.num_servers = 3;
+  opts.f = 1;
+  opts.data_dir = dir.string();
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  std::unique_ptr<node::TcpCluster> cluster = std::move(started).value();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (cluster->leader_server_of(0) < 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no leader";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  auto cn = cluster->start_client();
+  ASSERT_TRUE(cn.is_ok()) << cn.status().to_string();
+  net::TcpNode* cnode = cn.value();
+  auto client = std::make_unique<kv::KvClient>(cnode, cluster->routing(), kv::KvClient::Options());
+  cnode->loop().post([&] { cnode->set_handler(client.get()); });
+  // Warm the leader hint, so every burst put goes straight to the leader.
+  std::promise<Status> warm;
+  cnode->loop().post([&] { client->put("warm", to_bytes("w"), [&](Status s) { warm.set_value(s); }); });
+  ASSERT_TRUE(warm.get_future().get().is_ok());
+
+  constexpr int kPuts = 16;
+  Tracer::global().clear();
+  Tracer::global().set_enabled(true);
+  std::atomic<int> ok{0}, resolved{0};
+  cnode->loop().post([&] {
+    for (int i = 0; i < kPuts; ++i) {
+      client->put("burst-" + std::to_string(i), to_bytes("v"), [&](Status s) {
+        if (s.is_ok()) ok.fetch_add(1);
+        resolved.fetch_add(1);
+      });
+    }
+  });
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (resolved.load() < kPuts && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(ok.load(), kPuts);
+
+  const auto traces = Tracer::global().recent(64);
+  std::set<uint64_t> commit_slots;
+  std::vector<uint64_t> batched_slots;
+  int put_trees = 0;
+  for (const CommitTrace& t : traces) {
+    const TraceSpan* rpc = t.find("client_rpc");
+    if (rpc == nullptr || rpc->parent != 0) continue;
+    ++put_trees;
+    expect_connected(t);
+    const TraceSpan* commit = t.find("commit");
+    for (const TraceSpan& s : t.spans) {
+      if (s.name.rfind("batched:", 0) != 0) continue;
+      EXPECT_EQ(commit, nullptr) << "a write that carried the commit is not also batched";
+      EXPECT_EQ(s.parent, rpc->id);
+      EXPECT_EQ(s.duration_us(), 0);
+      EXPECT_FALSE(s.open());
+      batched_slots.push_back(std::stoull(s.name.substr(8)));
+    }
+    if (commit != nullptr) {
+      EXPECT_EQ(commit->parent, rpc->id);
+      commit_slots.insert(t.slot);
+    }
+  }
+  EXPECT_EQ(put_trees, kPuts) << Tracer::global().recent_json(64);
+  EXPECT_FALSE(batched_slots.empty()) << "the burst was not batched";
+  EXPECT_EQ(commit_slots.size() + batched_slots.size(), static_cast<size_t>(kPuts))
+      << Tracer::global().recent_json(64);
+  for (uint64_t slot : batched_slots) {
+    EXPECT_EQ(commit_slots.count(slot), 1u) << "batched:" << slot << " names no commit";
+  }
+
+  cluster.reset();
   client.reset();
   std::filesystem::remove_all(dir);
 }
