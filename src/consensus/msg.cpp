@@ -45,9 +45,14 @@ void encode_share_meta(Writer& w, const CodedShare& s) {
 
 }  // namespace
 
-void encode_share(Writer& w, const CodedShare& s) {
+void encode_share_head(Writer& w, const CodedShare& s) {
   encode_share_meta(w, s);
-  w.bytes(s.data);
+  w.varint(s.data.size());
+}
+
+void encode_share(Writer& w, const CodedShare& s) {
+  encode_share_head(w, s);
+  w.raw(s.data);
 }
 
 size_t share_wire_size(const CodedShare& s) {

@@ -225,6 +225,9 @@ Status decode_ballot(Reader& r, Ballot& b);
 void encode_value_id(Writer& w, const ValueId& v);
 Status decode_value_id(Reader& r, ValueId& v);
 void encode_share(Writer& w, const CodedShare& s);
+/// encode_share up to the data: everything but the share bytes themselves,
+/// which follow it on the wire or in the WAL record.
+void encode_share_head(Writer& w, const CodedShare& s);
 Status decode_share(Reader& r, CodedShare& s);
 void encode_config(Writer& w, const GroupConfig& c);
 Status decode_config(Reader& r, GroupConfig& c);

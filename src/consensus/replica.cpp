@@ -219,7 +219,7 @@ void Replica::start_campaign() {
     msg.epoch = cfg_.epoch;
     msg.ballot = ballot_;
     msg.start_slot = campaign_start_;
-    Bytes enc = msg.encode();
+    SharedBytes enc = msg.encode();  // one buffer for every peer
     for (NodeId m : cfg_.members) {
       if (m != ctx_->id()) ctx_->send(m, MsgType::kPrepare, enc);
     }
@@ -341,7 +341,7 @@ void Replica::send_heartbeat() {
   msg.commit_index = commit_index_;
   for (const auto& rc : recent_commits_) msg.recent.push_back(rc);
   recent_commits_.clear();
-  Bytes enc = msg.encode();
+  SharedBytes enc = msg.encode();  // one buffer for every peer
   for (NodeId m : cfg_.members) {
     if (m != ctx_->id()) ctx_->send(m, MsgType::kCommit, enc);
   }
@@ -431,9 +431,10 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // gaps (the leader's own share lands in a standalone buffer that moves
   // into its log entry — or, in full-copy mode, is skipped: that share is
   // the payload itself). Share bytes are written exactly once — no
-  // per-share staging copy; retransmissions resend the frames verbatim
-  // (their piggybacked commit_index stays as of propose time, which is
-  // harmless: the watermark also rides every heartbeat).
+  // per-share staging copy; once encoded, the frames are shared buffers that
+  // every send and retransmit references (their piggybacked commit_index
+  // stays as of propose time, which is harmless: the watermark also rides
+  // every heartbeat).
   AcceptMsg meta;
   meta.epoch = cfg_.epoch;
   meta.ballot = ballot_;
@@ -535,7 +536,10 @@ void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes heade
   p.cb = std::move(cb);
   p.last_sent = proposed_at;
   p.commit_span = commit_span;
-  p.frames = std::move(frames);
+  // The encode is done: adopt each frame as the shared buffer every send of
+  // it references.
+  p.frames.reserve(frames.size());
+  for (Bytes& f : frames) p.frames.emplace_back(std::move(f));
 
   // The leader is also an acceptor: record and persist its own share, cache
   // the full value for serving reads and catch-up (§1: "the leader caches
@@ -954,7 +958,7 @@ void Replica::persist_meta(std::function<void()> then) {
 void Replica::persist_slot(Slot slot, std::function<void()> then) {
   const LogEntry& e = log_[slot];
   wal_->append(
-      encode_slot_record(slot, e.accepted, e.share),
+      storage::WalRecord(encode_slot_record_head(slot, e.accepted, e.share), e.share.data),
       [this, ctx = ctx_, slot, ballot = e.accepted, vid = e.share.vid,
        truncations = wal_truncations_, then = std::move(then)](Status st,
                                                                storage::WalPos pos) mutable {
@@ -1039,7 +1043,17 @@ void Replica::restore_from_wal() {
 Replica::EntryBuffers Replica::entry_buffers_for_test(Slot slot) const {
   auto it = log_.find(slot);
   if (it == log_.end()) return {};
-  return EntryBuffers{it->second.share.data.id(), it->second.payload.id()};
+  return EntryBuffers{it->second.share.data.id(), it->second.payload.id(),
+                      it->second.wal_pos};
+}
+
+const void* Replica::accept_frame_for_test(Slot slot, NodeId member) const {
+  auto it = pending_.find(slot);
+  int idx = cfg_.index_of(member);
+  if (it == pending_.end() || idx < 0 || static_cast<size_t>(idx) >= it->second.frames.size()) {
+    return nullptr;
+  }
+  return it->second.frames[static_cast<size_t>(idx)].id();
 }
 
 void Replica::maybe_drop_old_payloads() {

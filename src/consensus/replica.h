@@ -228,13 +228,18 @@ class Replica final : public MessageHandler {
   Slot payload_floor() const { return gc_floor_; }
 
   /// Test hook: identities (SharedBytes::id) of the value buffers the log
-  /// entry for `slot` holds — its share and its cached payload. Both null
-  /// when the slot is absent or its buffers were dropped.
+  /// entry for `slot` holds — its share and its cached payload — and where
+  /// its durable record landed. Both null when the slot is absent or its
+  /// buffers were dropped.
   struct EntryBuffers {
     const void* share = nullptr;
     const void* payload = nullptr;
+    storage::WalPos wal_pos;
   };
   EntryBuffers entry_buffers_for_test(Slot slot) const;
+  /// Test hook: identity of the accept frame a pending proposal for `slot`
+  /// retains for `member`; null once the slot is no longer pending.
+  const void* accept_frame_for_test(Slot slot, NodeId member) const;
 
  private:
   enum class Role { kFollower, kCandidate, kLeader };
@@ -272,9 +277,10 @@ class Replica final : public MessageHandler {
     Bytes header;
     /// Prebuilt AcceptMsg wire frames, one per member index (the proposer's
     /// own slot stays empty). Shares are erasure-coded directly into the
-    /// frames' data gaps at propose time (zero-copy); retransmissions resend
-    /// the same frames verbatim.
-    std::vector<Bytes> frames;
+    /// frames' data gaps at propose time; once the encode is done the frames
+    /// are shared and immutable, so the first send, every retransmit and
+    /// the transport's queue reference the buffer the encoder filled.
+    std::vector<SharedBytes> frames;
     uint64_t value_len = 0;
     std::set<NodeId> acks;
     ProposeFn cb;

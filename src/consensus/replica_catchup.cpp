@@ -199,7 +199,7 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
   FetchShareReqMsg req;
   req.epoch = cfg_.epoch;
   req.slot = slot;
-  Bytes enc = req.encode();
+  SharedBytes enc = req.encode();  // one buffer for every peer
   // First pass: fetch only the cheapest decodable set the policy plans (the
   // local share is free, every peer's costs the same). Widen to the
   // historical full-membership broadcast once a retry fires, or whenever the

@@ -24,13 +24,24 @@ inline Bytes encode_meta_record(const Ballot& promised) {
   return w.take();
 }
 
-inline Bytes encode_slot_record(Slot slot, const Ballot& accepted, const CodedShare& share) {
-  Writer w(48 + share.header.size() + share.data.size());
+/// A slot record up to the share bytes: tag, slot, ballot, share metadata
+/// and the data length. The share's buffer follows it in the WAL record
+/// (persist_slot appends it as the record's body, so it is not copied).
+inline Bytes encode_slot_record_head(Slot slot, const Ballot& accepted,
+                                     const CodedShare& share) {
+  Writer w(48 + share.header.size());
   w.u8(kRecSlot);
   w.varint(slot);
   encode_ballot(w, accepted);
-  encode_share(w, share);
+  encode_share_head(w, share);
   return w.take();
+}
+
+/// The whole slot record in one buffer (truncation heads).
+inline Bytes encode_slot_record(Slot slot, const Ballot& accepted, const CodedShare& share) {
+  Bytes rec = encode_slot_record_head(slot, accepted, share);
+  rec.insert(rec.end(), share.data.begin(), share.data.end());
+  return rec;
 }
 
 inline Bytes encode_config_record(const GroupConfig& cfg) {

@@ -187,7 +187,7 @@ void SingleProposer::send_prepares() {
   msg.epoch = cfg_.epoch;
   msg.ballot = ballot_;
   msg.start_slot = opts_.slot;
-  Bytes enc = msg.encode();
+  SharedBytes enc = msg.encode();  // one buffer for every acceptor
   for (NodeId a : cfg_.members) ctx_->send(a, MsgType::kPrepare, enc);
 }
 

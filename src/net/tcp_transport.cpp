@@ -70,7 +70,7 @@ uint64_t TcpNode::max_peer_queue_depth() const {
 
 void TcpNode::shutdown() { host_->shutdown(); }
 
-void TcpNode::send(NodeId to, MsgType type, Bytes payload) {
+void TcpNode::send(NodeId to, MsgType type, SharedBytes payload) {
   bytes_sent_.fetch_add(payload.size(), std::memory_order_relaxed);
   metrics_.on_send(type, payload.size());
   host_->send_frame(id_, to, type, std::move(payload));
@@ -140,7 +140,7 @@ void TcpHost::register_endpoint(TcpNode* ep) {
 // send path (any thread): enqueue, then at most one flush request. Never
 // blocks on a socket, a connect, or another peer's queue.
 
-void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, Bytes payload) {
+void TcpHost::send_frame(NodeId from, NodeId to, MsgType type, SharedBytes payload) {
   bool sampled = (stall_sample_.fetch_add(1, std::memory_order_relaxed) & 0xf) == 0;
   std::chrono::steady_clock::time_point t0;
   if (sampled) t0 = std::chrono::steady_clock::now();

@@ -76,7 +76,7 @@ class TcpNode final : public NodeContext {
 
   NodeId id() const override { return id_; }
   TimeMicros now() const override;
-  void send(NodeId to, MsgType type, Bytes payload) override;
+  void send(NodeId to, MsgType type, SharedBytes payload) override;
   TimerId set_timer(DurationMicros delay, TimerFn fn) override;
   bool cancel_timer(TimerId id) override;
   uint64_t bytes_sent() const override { return bytes_sent_.load(); }
@@ -137,12 +137,13 @@ class TcpHost {
   friend class TcpNode;
   friend class TcpTransport;
 
-  /// One queued outbound frame: fixed header + owned payload. The flush
-  /// points iovecs straight at these, so header and payload are never copied
-  /// again after enqueue.
+  /// One queued outbound frame: fixed header + a reference to the sender's
+  /// payload. The flush points iovecs straight at these, so the payload is
+  /// never copied in user space: an accept frame goes from the encoder's
+  /// buffer to the socket.
   struct OutFrame {
     std::array<uint8_t, kFrameHeaderBytes> hdr;
-    Bytes payload;
+    SharedBytes payload;
     size_t wire_size() const { return kFrameHeaderBytes + payload.size(); }
   };
 
@@ -197,7 +198,7 @@ class TcpHost {
 
   /// Sender-side entry: encode from/to into the header, enqueue onto the
   /// queue of `to`'s host. Callable from any thread.
-  void send_frame(NodeId from, NodeId to, MsgType type, Bytes payload);
+  void send_frame(NodeId from, NodeId to, MsgType type, SharedBytes payload);
   /// Makes `ep` visible to inbound dispatch. Registration is posted onto the
   /// loop thread — the endpoint map is loop-thread-confined, so the inbound
   /// hot path reads it without a lock (frames racing registration are

@@ -83,8 +83,12 @@ class NodeContext : public Clock {
   virtual void set_handler(MessageHandler* handler) = 0;
 
   /// Fire-and-forget datagram-style send. Delivery is not guaranteed;
-  /// callers own retransmission (which Paxos does by design).
-  virtual void send(NodeId to, MsgType type, Bytes payload) = 0;
+  /// callers own retransmission (which Paxos does by design). The transport
+  /// keeps a reference to the payload until the message leaves (or is
+  /// delivered, in the sim), never a copy: a caller that sends one buffer
+  /// to several peers, or resends it, shares one allocation. A Bytes
+  /// argument (`msg.encode()`) converts implicitly, adopting the vector.
+  virtual void send(NodeId to, MsgType type, SharedBytes payload) = 0;
 
   /// One-shot timer. Returns an id; cancel() before it fires to abort.
   virtual TimerId set_timer(DurationMicros delay, TimerFn fn) = 0;

@@ -220,12 +220,13 @@ Status TcpCluster::start_admin(int s) {
 
 TcpCluster::~TcpCluster() {
   // Admin servers first: their handlers read hosts and post onto loops.
-  // Then detach handlers (no new proposals reach replicas, so no new EC
-  // submissions), drain the EC pool while the loops still run (queued
-  // completions post onto live contexts), stop the WALs (their flushers
-  // post durability callbacks onto the nodes the transport owns), then
-  // join the loop threads; only afterwards is it safe to destroy servers,
-  // WALs and stores (no delivery or completion can be in flight).
+  // Then detach handlers and join the server loops: a handler that read its
+  // pointer before the detach, or a timer (the KV batch window), could
+  // otherwise still propose and submit an encode to a pool being destroyed.
+  // Then drain the EC pool and stop the WALs; their completions post into
+  // the stopped loops, which drop them, while the transport still owns the
+  // nodes they post to. Only afterwards is it safe to destroy servers, WALs
+  // and stores (no delivery or completion can be in flight).
   for (auto& a : admins_) {
     if (a) a->stop();
   }
@@ -237,6 +238,7 @@ TcpCluster::~TcpCluster() {
   for (auto& h : hosts_) {
     if (h) h->stop();
   }
+  for (auto& [id, ep] : endpoints_) ep->shutdown();
   ec_pool_.reset();
   for (auto& w : wals_) {
     if (w) w->stop();

@@ -9,7 +9,7 @@ namespace rspaxos::sim {
 
 TimeMicros SimNode::now() const { return net_->world_->now(); }
 
-void SimNode::send(NodeId to, MsgType type, Bytes payload) {
+void SimNode::send(NodeId to, MsgType type, SharedBytes payload) {
   if (!alive_) return;  // a crashed node cannot send
   bytes_sent_ += payload.size();
   messages_sent_++;
@@ -73,7 +73,7 @@ uint64_t SimNetwork::total_bytes_sent() const {
   return total;
 }
 
-void SimNetwork::do_send(SimNode* from, NodeId to, MsgType type, Bytes payload) {
+void SimNetwork::do_send(SimNode* from, NodeId to, MsgType type, SharedBytes payload) {
   if (partitioned(from->id_, to)) return;
   const LinkParams& lp = link(from->id_, to);
   Rng& rng = world_->rng();
@@ -97,15 +97,16 @@ void SimNetwork::do_send(SimNode* from, NodeId to, MsgType type, Bytes payload) 
     // Deliveries capture the *current* incarnation of the receiver at send
     // time is wrong — messages survive a receiver crash only to be dropped
     // on arrival if it is down; a restarted node (new incarnation) does
-    // receive late messages, as over a real network.
-    Bytes copy = (c + 1 < copies) ? payload : std::move(payload);
+    // receive late messages, as over a real network. Every copy references
+    // the sender's buffer.
     // The sender's ambient span is captured at send time and reinstated at
     // delivery — the sim-world equivalent of the frame-header trace fields.
-    world_->schedule(deliver_at - world_->now() + c, [this, to, type, msg = std::move(copy),
+    world_->schedule(deliver_at - world_->now() + c, [this, to, type, msg = payload,
                                                       from_id = from->id_,
                                                       span = obs::current_span()] {
       SimNode* dst = node(to);
       if (!dst->alive_ || dst->handler_ == nullptr) return;
+      if (tap_ && !tap_(from_id, to, type, msg)) return;
       obs::SpanScope scope(span);
       dst->handler_->on_message(from_id, type, msg);
     });

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -44,7 +45,7 @@ class SimNode final : public NodeContext {
  public:
   NodeId id() const override { return id_; }
   TimeMicros now() const override;
-  void send(NodeId to, MsgType type, Bytes payload) override;
+  void send(NodeId to, MsgType type, SharedBytes payload) override;
   TimerId set_timer(DurationMicros delay, TimerFn fn) override;
   bool cancel_timer(TimerId id) override;
   uint64_t bytes_sent() const override { return bytes_sent_; }
@@ -95,10 +96,18 @@ class SimNetwork {
   /// Total payload bytes accepted for transmission (network-cost metric).
   uint64_t total_bytes_sent() const;
 
+  /// Test hook, called with each message as it arrives at a live receiver,
+  /// before its handler; returning false drops it. The payload is the
+  /// sender's buffer itself (queued deliveries, duplicates included, hold a
+  /// reference to it, never a copy), so a test can compare identities.
+  using DeliveryTap =
+      std::function<bool(NodeId from, NodeId to, MsgType type, const SharedBytes& payload)>;
+  void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
+
  private:
   friend class SimNode;
 
-  void do_send(SimNode* from, NodeId to, MsgType type, Bytes payload);
+  void do_send(SimNode* from, NodeId to, MsgType type, SharedBytes payload);
   bool partitioned(NodeId a, NodeId b) const;
   const LinkParams& link(NodeId from, NodeId to) const;
 
@@ -108,6 +117,7 @@ class SimNetwork {
   std::map<std::pair<NodeId, NodeId>, TimeMicros> link_free_at_;
   std::unordered_map<NodeId, std::unique_ptr<SimNode>> nodes_;
   std::vector<std::pair<std::set<NodeId>, std::set<NodeId>>> partitions_;
+  DeliveryTap tap_;
 };
 
 }  // namespace rspaxos::sim

@@ -67,19 +67,20 @@ inline uint32_t payload_gk(BytesView payload) {
   return gk;
 }
 
-/// Frames one data record for `g`: u32 len | u32 crc | u32 gk | record.
-/// The CRC covers gk + record (the whole payload), computed incrementally so
-/// the record bytes are copied exactly once.
-Bytes frame_data_record(uint32_t g, BytesView record) {
+/// Frames one data record for `g` up to its body: u32 len | u32 crc | u32 gk
+/// | head. The body follows on disk; the CRC covers gk + head + body (the
+/// whole payload), chained over the parts, so the body is never copied.
+Bytes frame_data_head(uint32_t g, const WalRecord& record) {
   uint32_t gk = g << 1;
   uint8_t gkb[4];
   std::memcpy(gkb, &gk, 4);
-  uint32_t crc = crc32c(record.data(), record.size(), crc32c(gkb, 4));
-  Writer w(record.size() + 12);
+  uint32_t crc = crc32c(record.head, crc32c(gkb, 4));
+  crc = crc32c(record.body, crc);
+  Writer w(record.head.size() + 12);
   w.u32(static_cast<uint32_t>(record.size()) + 4);
   w.u32(crc);
   w.u32(gk);
-  w.raw(record);
+  w.raw(record.head);
   return w.take();
 }
 
@@ -346,10 +347,11 @@ void FileWal::stop() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-void FileWal::append(uint32_t g, Bytes record, Wal::DurableFn cb) {
+void FileWal::append(uint32_t g, WalRecord record, Wal::DurableFn cb) {
   Pending p;
   p.group = g;
-  p.framed = frame_data_record(g, record);
+  p.framed_head = frame_data_head(g, record);
+  p.body = std::move(record.body);
   p.cb = std::move(cb);
   bool was_empty;
   {
@@ -425,14 +427,16 @@ void FileWal::flusher_loop() {
 void FileWal::flush_batch(std::deque<Pending> batch) {
   auto flush_start = std::chrono::steady_clock::now();
   // The whole group-commit batch goes down in one vectored write (chunked
-  // at IOV_MAX by the driver), not one write() per record.
+  // at IOV_MAX by the driver), not one write() per record: each record's
+  // framed head, then its body straight from the caller's buffer.
   size_t nbytes = 0;
   std::vector<iovec> iov;
-  iov.reserve(batch.size());
+  iov.reserve(2 * batch.size());
   for (const Pending& p : batch) {
-    if (p.framed.empty()) continue;
-    iov.push_back({const_cast<uint8_t*>(p.framed.data()), p.framed.size()});
-    nbytes += p.framed.size();
+    if (p.framed_head.empty()) continue;
+    iov.push_back({const_cast<uint8_t*>(p.framed_head.data()), p.framed_head.size()});
+    if (!p.body.empty()) iov.push_back({const_cast<uint8_t*>(p.body.data()), p.body.size()});
+    nbytes += p.framed_size();
   }
   // Roll to a fresh segment at the batch boundary (frames never span
   // segments). Best-effort: on failure keep appending to the full segment.
@@ -445,32 +449,34 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
       active_size_ = 0;
     }
   }
-  // Count bytes that actually hit the file: on a mid-batch failure the
-  // prefix iovecs may have been written, and the counters should reflect
-  // that rather than zero (callbacks still get the error status).
   const uint64_t seg = active_seq_.load();
   const uint64_t base_off = active_size_;
   bool synced = false;
-  size_t wrote = io_->write_and_sync(fd_, iov, &synced);
-  bool write_ok = wrote == nbytes && synced;
-  active_size_ += wrote;
-  bytes_flushed_.fetch_add(wrote);
+  size_t wrote = broken_ ? 0 : io_->write_and_sync(fd_, iov, &synced);
+  bool write_ok = !broken_ && wrote == nbytes && synced;
   flush_ops_.fetch_add(1);
   if (write_ok) {
+    active_size_ += wrote;
+    bytes_flushed_.fetch_add(wrote);
     for (const Pending& p : batch) {
-      if (p.framed.empty()) continue;
+      if (p.framed_head.empty()) continue;
       live_.seg_groups[seg].insert(p.group);
-      live_.live_bytes[p.group] += p.framed.size();
+      live_.live_bytes[p.group] += p.framed_size();
       if (p.group < group_counters_.size()) {
-        group_counters_[p.group]->flushed.fetch_add(p.framed.size());
+        group_counters_[p.group]->flushed.fetch_add(p.framed_size());
       }
     }
+  } else if (!broken_ && ::ftruncate(fd_, static_cast<off_t>(base_off)) != 0) {
+    // The failed batch may have left a torn frame (or whole frames nobody
+    // was told are durable) at the tail. It is cut off so the next batch
+    // lands where this one began; if the cut fails, nothing more is written.
+    broken_ = true;
   }
   int64_t fsync_us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - flush_start)
                          .count();
   WalMetrics& wm = WalMetrics::get();
-  wm.bytes_durable->inc(wrote);
+  if (write_ok) wm.bytes_durable->inc(wrote);
   wm.flushes->inc();
   wm.fsync_us->observe(fsync_us);
   wm.batch_records->observe(static_cast<int64_t>(batch.size()));
@@ -482,8 +488,8 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
   uint64_t off = base_off;
   for (Pending& p : batch) {
     WalPos pos;
-    if (write_ok) pos = WalPos{seg, off, p.framed.size()};
-    off += p.framed.size();
+    if (write_ok) pos = WalPos{seg, off, p.framed_size()};
+    off += p.framed_size();
     if (p.cb && !drop_callbacks_.load()) p.cb(st, pos);
   }
 }
@@ -536,6 +542,10 @@ void FileWal::do_truncate(Pending t) {
   // replay(g) starts at the marker. A crash between the two leaves a torn
   // tail that open() trims — no manifest dance needed for correctness.
   auto start = std::chrono::steady_clock::now();
+  if (broken_) {
+    if (t.tcb && !drop_callbacks_.load()) t.tcb(Status::internal("wal truncate: log failed"));
+    return;
+  }
   uint64_t new_seq = active_seq_.load() + 1;
   int nfd = create_segment(new_seq);
   if (nfd < 0) {

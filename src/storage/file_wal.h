@@ -5,7 +5,10 @@
 // begins with a u32 group key `gk` = group << 1 | is_marker. One log serves
 // every Paxos group on a machine: a group-commit batch mixes records from all
 // groups into one vectored write + one fdatasync, amortizing the flush across
-// shards exactly like §7 amortizes it across clients within a group.
+// shards exactly like §7 amortizes it across clients within a group. A data
+// record goes down as two iovecs, `len|crc|gk|head` and the body, with the
+// CRC chained over the parts: the body (a share) is referenced from the
+// caller's buffer until the flush completes and never copied in user space.
 //
 // On-disk layout: the log is a sequence of segments. Segment 0 is the bare
 // `path` (so pre-segmentation logs open unchanged); segment k > 0 is
@@ -29,7 +32,10 @@
 //
 // Open scans the active segment and ftruncates a torn/corrupt tail down to
 // the longest valid frame prefix, so a log that crashed mid-append keeps
-// accepting (and replaying) appends afterwards.
+// accepting (and replaying) appends afterwards. A batch whose write or sync
+// fails at run time is cut off the same way before the next batch is
+// written: O_APPEND would otherwise put acknowledged records behind a torn
+// frame, where open() would later cut them off.
 //
 // A data record's position is its frame's (segment, offset, framed length).
 // read() preads exactly that frame from the calling thread — the bytes are
@@ -80,7 +86,7 @@ class FileWal final : public MuxWal {
 
   // MuxWal interface.
   uint32_t num_groups() const override { return num_groups_; }
-  void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
+  void append(uint32_t g, WalRecord record, Wal::DurableFn cb) override;
   void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
   void replay(uint32_t g, const Wal::ReplayFn& fn) override;
   StatusOr<Bytes> read(uint32_t g, WalPos pos) const override;
@@ -98,11 +104,14 @@ class FileWal final : public MuxWal {
  private:
   struct Pending {
     uint32_t group = 0;
-    Bytes framed;   // empty for truncate markers
+    Bytes framed_head;  // len|crc|gk|head; empty for truncate markers
+    SharedBytes body;   // written after framed_head
     Wal::DurableFn cb;
     bool truncate = false;
     std::vector<Bytes> head;  // truncate only: replacement records (unframed)
     Wal::TruncateFn tcb;
+
+    size_t framed_size() const { return framed_head.size() + body.size(); }
   };
 
   /// Flusher-thread-private liveness state rebuilt by open()'s scan.
@@ -141,6 +150,9 @@ class FileWal final : public MuxWal {
   std::atomic<uint64_t> first_seq_;
   std::atomic<uint64_t> active_seq_;
   size_t active_size_;
+  // Set when a failed batch could not be cut off the active segment: every
+  // later append fails rather than landing behind the torn frame.
+  bool broken_ = false;
   ScanState live_;
 
   std::mutex mu_;

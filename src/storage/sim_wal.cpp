@@ -38,7 +38,7 @@ struct SimWalMetrics {
 
 }  // namespace
 
-void SimWal::append(uint32_t g, Bytes record, Wal::DurableFn cb) {
+void SimWal::append(uint32_t g, WalRecord record, Wal::DurableFn cb) {
   if (g >= groups_.size()) groups_.resize(g + 1);
   Pending p;
   p.group = g;
@@ -77,11 +77,14 @@ void SimWal::maybe_flush() {
       staged_.pop_front();
       GroupState& gs = groups_[t.group];
       uint64_t reclaimed = 0;
-      for (const Bytes& r : gs.durable) reclaimed += r.size();
+      for (const WalRecord& r : gs.durable) reclaimed += r.size();
       gs.truncated += reclaimed;
       gs.first_seq += gs.durable.size();
       gs.durable.clear();
-      if (retain_) gs.durable = std::move(t.head);
+      if (retain_) {
+        gs.durable.assign(std::make_move_iterator(t.head.begin()),
+                          std::make_move_iterator(t.head.end()));
+      }
       bytes_flushed_ += nbytes;
       gs.bytes_flushed += nbytes;
       SimWalMetrics& wm = SimWalMetrics::get();
@@ -147,17 +150,21 @@ void SimWal::replay(uint32_t g, const Wal::ReplayFn& fn) {
   if (g >= groups_.size()) return;
   const GroupState& gs = groups_[g];
   for (size_t i = 0; i < gs.durable.size(); ++i) {
-    fn(gs.durable[i], WalPos{0, gs.first_seq + i});
+    fn(gs.durable[i].flatten(), WalPos{0, gs.first_seq + i});
   }
 }
 
-StatusOr<Bytes> SimWal::read(uint32_t g, WalPos pos) const {
-  if (g >= groups_.size() || !pos.valid()) return Status::not_found("wal position not live");
+const WalRecord* SimWal::retained(uint32_t g, WalPos pos) const {
+  if (g >= groups_.size() || !pos.valid()) return nullptr;
   const GroupState& gs = groups_[g];
-  if (pos.off < gs.first_seq || pos.off - gs.first_seq >= gs.durable.size()) {
-    return Status::not_found("wal position not live");
-  }
-  return gs.durable[pos.off - gs.first_seq];
+  if (pos.off < gs.first_seq || pos.off - gs.first_seq >= gs.durable.size()) return nullptr;
+  return &gs.durable[pos.off - gs.first_seq];
+}
+
+StatusOr<Bytes> SimWal::read(uint32_t g, WalPos pos) const {
+  const WalRecord* r = retained(g, pos);
+  if (r == nullptr) return Status::not_found("wal position not live");
+  return r->flatten();
 }
 
 void SimWal::drop_unflushed() {

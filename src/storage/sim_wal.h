@@ -6,7 +6,9 @@
 // paper relies on for small-write throughput (§6.2.2, §7). One SimWal models
 // one machine's log device: appends from every group on the machine share the
 // staged queue and its flushes, mirroring FileWal's shared-segment layout,
-// while the durable record store and truncation stay per-group.
+// while the durable record store and truncation stay per-group. A retained
+// record keeps its body by reference: a slot record's share is the very
+// buffer the replica's log entry holds.
 #pragma once
 
 #include <deque>
@@ -34,7 +36,7 @@ class SimWal final : public MuxWal {
 
   // MuxWal interface.
   uint32_t num_groups() const override { return static_cast<uint32_t>(groups_.size()); }
-  void append(uint32_t g, Bytes record, Wal::DurableFn cb) override;
+  void append(uint32_t g, WalRecord record, Wal::DurableFn cb) override;
   void truncate_prefix(uint32_t g, std::vector<Bytes> head, Wal::TruncateFn cb) override;
   void replay(uint32_t g, const Wal::ReplayFn& fn) override;
   StatusOr<Bytes> read(uint32_t g, WalPos pos) const override;
@@ -54,9 +56,13 @@ class SimWal final : public MuxWal {
   /// mirroring a real power failure. (Durable records always survive.)
   void drop_unflushed();
 
+  /// The retained record at `pos` as it was appended (head plus the body
+  /// reference), or null when the position is not live. read() flattens it.
+  const WalRecord* retained(uint32_t g, WalPos pos) const;
+
  private:
   struct GroupState {
-    std::vector<Bytes> durable;
+    std::vector<WalRecord> durable;
     uint64_t first_seq = 0;  // sequence of durable[0]
     uint64_t bytes_flushed = 0;
     uint64_t truncated = 0;
@@ -69,7 +75,7 @@ class SimWal final : public MuxWal {
   bool group_commit_ = true;
   struct Pending {
     uint32_t group = 0;
-    Bytes record;
+    WalRecord record;
     Wal::DurableFn cb;
     // Truncation marker: acts as a flush barrier in the staged queue.
     bool truncate = false;

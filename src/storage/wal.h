@@ -7,6 +7,15 @@
 // by the durable backends: appends arriving within a batching window share
 // one device flush. The callback also reports where the record landed, so a
 // caller can drop its in-memory copy and read the record back later.
+//
+// A record is appended as a small head plus a shared body (WalRecord): the
+// bytes on disk are head then body, exactly as if the caller had built them
+// contiguously, but the body — a slot record's share — is never copied on
+// the way. FileWal writes it with the head in one gather write and holds a
+// reference until the flush completes; SimWal and MemWal keep the reference
+// as their durable record, so the sim's "disk" and the log entry share one
+// buffer. What comes back out — read(pos), replay, and truncation heads — is
+// contiguous.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +43,30 @@ struct WalPos {
   bool operator==(const WalPos&) const = default;
 };
 
+/// One record to append: `head` then `body`, stored as their concatenation.
+/// Built implicitly from Bytes for records that are head only (meta and
+/// config records, tests); a slot record passes its encoded prefix as the
+/// head and the share's buffer as the body.
+struct WalRecord {
+  Bytes head;
+  SharedBytes body;
+
+  WalRecord() = default;
+  WalRecord(Bytes h)  // NOLINT(google-explicit-constructor): head-only record
+      : head(std::move(h)) {}
+  WalRecord(Bytes h, SharedBytes b) : head(std::move(h)), body(std::move(b)) {}
+
+  size_t size() const { return head.size() + body.size(); }
+  /// The record's bytes in one buffer (head then body).
+  Bytes flatten() const {
+    Bytes out;
+    out.reserve(size());
+    out.insert(out.end(), head.begin(), head.end());
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+  }
+};
+
 /// Append-only durable record log with prefix truncation (log compaction).
 class Wal {
  public:
@@ -46,8 +79,9 @@ class Wal {
   virtual ~Wal() = default;
 
   /// Appends one record; cb fires (on the owner's execution context) when
-  /// the record — and everything appended before it — is durable.
-  virtual void append(Bytes record, DurableFn cb) = 0;
+  /// the record — and everything appended before it — is durable. The log
+  /// references record.body rather than copying it.
+  virtual void append(WalRecord record, DurableFn cb) = 0;
 
   /// Log compaction after a checkpoint: atomically replaces every record
   /// appended before this call with `head` (the caller-built barrier state —
@@ -93,7 +127,7 @@ class MuxWal {
   Wal* group(uint32_t g);
 
   // Group-scoped primitives the facades delegate to.
-  virtual void append(uint32_t g, Bytes record, Wal::DurableFn cb) = 0;
+  virtual void append(uint32_t g, WalRecord record, Wal::DurableFn cb) = 0;
   virtual void truncate_prefix(uint32_t g, std::vector<Bytes> head,
                                Wal::TruncateFn cb) = 0;
   virtual void replay(uint32_t g, const Wal::ReplayFn& fn) = 0;
@@ -125,7 +159,7 @@ class GroupWalView final : public Wal {
  public:
   GroupWalView(MuxWal* mux, uint32_t g) : mux_(mux), g_(g) {}
 
-  void append(Bytes record, DurableFn cb) override {
+  void append(WalRecord record, DurableFn cb) override {
     mux_->append(g_, std::move(record), std::move(cb));
   }
   void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override {
@@ -144,10 +178,11 @@ class GroupWalView final : public Wal {
 
 /// Instant in-memory WAL for protocol unit tests: records are "durable"
 /// immediately, callbacks fire inline. A position is a record's sequence
-/// number; truncation retires every sequence before the new head.
+/// number; truncation retires every sequence before the new head. A record
+/// keeps its body by reference.
 class MemWal final : public Wal {
  public:
-  void append(Bytes record, DurableFn cb) override;
+  void append(WalRecord record, DurableFn cb) override;
   void truncate_prefix(std::vector<Bytes> head, TruncateFn cb) override;
   void replay(const ReplayFn& fn) override;
   StatusOr<Bytes> read(WalPos pos) const override;
@@ -164,7 +199,7 @@ class MemWal final : public Wal {
   }
 
  private:
-  std::vector<Bytes> records_;
+  std::vector<WalRecord> records_;
   uint64_t first_seq_ = 0;  // sequence of records_[0]
   uint64_t bytes_ = 0;
   uint64_t truncated_ = 0;

@@ -3,9 +3,12 @@
 // handling (FileWal).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -504,6 +507,69 @@ TEST_F(FileWalTest, SegmentRotationReplaysAcrossSegments) {
     ++i;
   });
   EXPECT_EQ(i, 16);
+}
+
+// A batch whose write fails part-way must not stay in front of later
+// appends. A child process forces a short write with RLIMIT_FSIZE (SIGXFSZ
+// ignored, so write() returns short / EFBIG), then lifts the limit and
+// appends more; every record whose callback reported ok must replay after a
+// reopen. If the failed batch stayed in the file, the later records would
+// land behind its torn frame and open() would cut them off with it.
+TEST_F(FileWalTest, FailedWriteDoesNotHideLaterAcknowledgedRecords) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest assertions; the exit code and the pipe report.
+    ::close(fds[0]);
+    ::signal(SIGXFSZ, SIG_IGN);
+    int code = 0;
+    {
+      auto wal = FileWal::open(path_.string(), 0);
+      if (!wal.is_ok()) ::_exit(2);
+      auto append = [&](uint8_t tag, size_t len) {
+        std::promise<Status> done;
+        wal.value()->group(0)->append(Bytes(len, tag),
+                                      [&](Status s, WalPos) { done.set_value(s); });
+        Status st = done.get_future().get();
+        if (st.is_ok() && ::write(fds[1], &tag, 1) != 1) ::_exit(4);
+        return st;
+      };
+      append(1, 100);
+      append(2, 100);
+      rlimit lim{};
+      ::getrlimit(RLIMIT_FSIZE, &lim);
+      rlimit small = lim;
+      small.rlim_cur = std::filesystem::file_size(path_) + 50;  // 50 bytes of the next frame
+      if (::setrlimit(RLIMIT_FSIZE, &small) != 0) ::_exit(5);
+      if (append(3, 4096).is_ok()) code = 3;  // the torn batch must fail
+      ::setrlimit(RLIMIT_FSIZE, &lim);
+      append(4, 100);
+      append(5, 100);
+    }
+    ::close(fds[1]);
+    ::_exit(code);
+  }
+  ::close(fds[1]);
+  std::vector<uint8_t> acked;
+  uint8_t tag;
+  while (::read(fds[0], &tag, 1) == 1) acked.push_back(tag);
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(acked, (std::vector<uint8_t>{1, 2, 4, 5}));
+
+  auto wal = FileWal::open(path_.string(), 0);
+  ASSERT_TRUE(wal.is_ok());
+  std::vector<uint8_t> replayed;
+  wal.value()->group(0)->replay([&](BytesView r, WalPos) {
+    ASSERT_EQ(r.size(), 100u);
+    replayed.push_back(r[0]);
+  });
+  EXPECT_EQ(replayed, acked);
 }
 
 TEST(SimWalTruncate, BarrierReplacesPrefixAndCountsBytes) {

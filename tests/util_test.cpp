@@ -142,18 +142,58 @@ TEST(Crc32, DetectsBitFlip) {
 }
 
 // Pins the dispatched implementation (SSE4.2 crc32 instruction where the
-// host has it) against the portable slice-by-4 reference, across lengths
-// that exercise the 8/4/1-byte tail handling and nonzero seeds.
+// host has it) against the portable slice-by-4 reference. The hardware
+// kernel switches between three-chain long blocks, three-chain short blocks
+// and a single chain with 8/4/1-byte tails, after aligning the pointer, so
+// the test walks every length across those thresholds, every start offset
+// within two alignment periods, random seeds and random split points.
 TEST(Crc32, HardwareMatchesReference) {
+  constexpr size_t kMaxLen = 3 * kCrc32cLongBlock + 3 * kCrc32cShortBlock + 40;
+  constexpr size_t kPad = 16;
   Rng rng(42);
-  for (size_t len : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u, 65537u}) {
-    Bytes data(len);
-    rng.fill(data.data(), len);
-    EXPECT_EQ(crc32c(data), crc32c_reference(data.data(), data.size())) << len;
+  Bytes data(kMaxLen + kPad);
+  rng.fill(data.data(), data.size());
+
+  // Every length from 0 past the long-block threshold (plus a short-block
+  // round and a tail), at offset 0 and seed 0. The reference over each
+  // prefix extends the previous one by a byte, so it costs O(kMaxLen).
+  uint32_t ref = 0;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    if (len > 0) ref = crc32c_reference(data.data() + len - 1, 1, ref);
+    ASSERT_EQ(crc32c(data.data(), len), ref) << "len " << len;
+  }
+
+  // Every start offset 0..15 with a random seed, at lengths around each
+  // threshold of the kernel.
+  std::vector<size_t> lens;
+  for (size_t base : {size_t{0}, size_t{8}, 3 * kCrc32cShortBlock, 6 * kCrc32cShortBlock,
+                      3 * kCrc32cLongBlock, 6 * kCrc32cLongBlock}) {
+    for (size_t d = 0; d < 10; ++d) {
+      if (base + d >= 5) lens.push_back(base + d - 5);
+    }
+  }
+  Bytes big(6 * kCrc32cLongBlock + 16 + kPad);
+  rng.fill(big.data(), big.size());
+  for (size_t off = 0; off < kPad; ++off) {
+    for (size_t len : lens) {
+      uint32_t seed = static_cast<uint32_t>(rng.next_u64());
+      ASSERT_EQ(crc32c(big.data() + off, len, seed),
+                crc32c_reference(big.data() + off, len, seed))
+          << "off " << off << " len " << len;
+    }
+  }
+
+  // An update split at random cut points equals the one-shot CRC.
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t len = static_cast<size_t>(rng.next_below(big.size() - kPad));
     uint32_t seed = static_cast<uint32_t>(rng.next_u64());
-    EXPECT_EQ(crc32c(data.data(), data.size(), seed),
-              crc32c_reference(data.data(), data.size(), seed))
-        << len;
+    uint32_t whole = crc32c_reference(big.data(), len, seed);
+    size_t a = static_cast<size_t>(rng.next_below(len + 1));
+    size_t b = a + static_cast<size_t>(rng.next_below(len - a + 1));
+    uint32_t parts = crc32c(big.data(), a, seed);
+    parts = crc32c(big.data() + a, b - a, parts);
+    parts = crc32c(big.data() + b, len - b, parts);
+    ASSERT_EQ(parts, whole) << "len " << len << " cuts " << a << "," << b;
   }
 }
 

@@ -4,11 +4,15 @@
 // by pointer identity; a recovery read of an old slot must not leave a
 // cached payload below the GC floor, where nothing would ever drop it; and
 // behind the horizon the log holds no value buffer at all, yet every
-// protocol path still gets the evicted shares back from the WALs.
+// protocol path still gets the evicted shares back from the WALs. In flight,
+// the accept frame the encoder filled is the buffer the link delivers (on
+// retransmits too), and a retained WAL record's body is the log's share.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
+#include "consensus/msg.h"
 #include "ec/policy.h"
 #include "kv/cluster.h"
 
@@ -147,6 +151,78 @@ TEST_P(OneCopy, StoreRowsAndLogEntriesShareOneBuffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Theta, OneCopy, ::testing::Values(3, 5),
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return p.param == 3 ? std::string("x1_n3") : std::string("x3_n5");
+                         });
+
+class InFlight : public ::testing::TestWithParam<int> {};
+
+/// The leader's retained accept frame and the frame the sim link delivers
+/// share one allocation, on the first send and on the retransmit of a
+/// dropped accept; and on every replica each retained WAL record of a slot
+/// references the share buffer its log entry holds.
+TEST_P(InFlight, AcceptFramesAndWalRecordsReferenceOneBuffer) {
+  const int servers = GetParam();
+  LifetimeFixture f(servers);
+  const int leader = f.cluster.leader_server_of(0);
+  ASSERT_GE(leader, 0);
+  const consensus::Replica& lead = f.cluster.server(leader, 0)->replica();
+
+  bool drop_first = false;
+  size_t same_frame = 0, retransmits = 0;
+  std::map<std::pair<NodeId, consensus::Slot>, const void*> dropped;
+  f.cluster.network().set_delivery_tap(
+      [&](NodeId from, NodeId to, MsgType type, const SharedBytes& payload) {
+        if (type != MsgType::kAccept || from != endpoint_id(leader, 0)) return true;
+        auto msg = consensus::AcceptMsg::decode(payload);
+        EXPECT_TRUE(msg.is_ok());
+        if (!msg.is_ok()) return true;
+        const consensus::Slot slot = msg.value().slot;
+        // Null once the slot committed without this follower.
+        const void* retained = lead.accept_frame_for_test(slot, to);
+        if (retained != nullptr) {
+          EXPECT_EQ(payload.id(), retained) << "slot " << slot << " to " << to;
+          ++same_frame;
+        }
+        auto key = std::make_pair(to, slot);
+        auto it = dropped.find(key);
+        if (it != dropped.end()) {
+          EXPECT_EQ(payload.id(), it->second) << "retransmit of slot " << slot << " to " << to;
+          ++retransmits;
+          dropped.erase(it);
+          return true;
+        }
+        if (!drop_first) return true;
+        dropped.emplace(key, payload.id());
+        return false;
+      });
+  f.put_all("a", 8, 3000);
+  EXPECT_GT(same_frame, 0u);
+
+  // Every follower loses the first copy of each accept, so no instance
+  // reaches a quorum until the leader retransmits its retained frames.
+  drop_first = true;
+  f.put_all("b", 8, 3000);
+  drop_first = false;
+  EXPECT_GT(retransmits, 0u);
+  f.cluster.network().set_delivery_tap(nullptr);
+
+  size_t checked = 0;
+  for (int s = 0; s < servers; ++s) {
+    const consensus::Replica& r = f.cluster.server(s, 0)->replica();
+    for (consensus::Slot slot = r.log_start(); slot <= r.last_applied(); ++slot) {
+      auto bufs = r.entry_buffers_for_test(slot);
+      if (bufs.share == nullptr || !bufs.wal_pos.valid()) continue;
+      const storage::WalRecord* rec = f.cluster.host_wal(s).retained(0, bufs.wal_pos);
+      ASSERT_NE(rec, nullptr) << "server " << s << " slot " << slot;
+      EXPECT_EQ(rec->body.id(), bufs.share) << "server " << s << " slot " << slot;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, static_cast<size_t>(servers));
+}
+
+INSTANTIATE_TEST_SUITE_P(Theta, InFlight, ::testing::Values(3, 5),
                          [](const ::testing::TestParamInfo<int>& p) {
                            return p.param == 3 ? std::string("x1_n3") : std::string("x3_n5");
                          });

@@ -4,7 +4,8 @@
 // (torn-tail) behaviour, and fsync amortization across groups — even though
 // one is a real segmented file and the other a simulated device. A second
 // suite holds them, and MemWal, to the read-back contract: a reported
-// position reads back exactly its record until a truncation retires it.
+// position reads back exactly its record until a truncation retires it, and
+// a record appended as head + shared body reads back as the contiguous bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,11 +18,13 @@
 #include <memory>
 #include <thread>
 
+#include "consensus/replica_internal.h"
 #include "sim/sim_disk.h"
 #include "sim/sim_world.h"
 #include "storage/file_wal.h"
 #include "storage/sim_wal.h"
 #include "storage/wal.h"
+#include "util/rng.h"
 
 namespace rspaxos {
 namespace {
@@ -38,7 +41,7 @@ class WalHarness {
   virtual storage::MuxWal& mux() = 0;
 
   /// Returns where the record landed, filled in once it is durable.
-  std::shared_ptr<storage::WalPos> append(uint32_t g, Bytes rec) {
+  std::shared_ptr<storage::WalPos> append(uint32_t g, storage::WalRecord rec) {
     issued_++;
     auto pos = std::make_shared<storage::WalPos>();
     mux().append(g, std::move(rec), [this, pos](Status s, storage::WalPos at) {
@@ -352,7 +355,7 @@ INSTANTIATE_TEST_SUITE_P(
 class MemMux final : public storage::MuxWal {
  public:
   uint32_t num_groups() const override { return kGroups; }
-  void append(uint32_t g, Bytes record, storage::Wal::DurableFn cb) override {
+  void append(uint32_t g, storage::WalRecord record, storage::Wal::DurableFn cb) override {
     logs_[g].append(std::move(record), std::move(cb));
   }
   void truncate_prefix(uint32_t g, std::vector<Bytes> head,
@@ -479,6 +482,74 @@ TEST_P(WalReadBack, FlippedByteReadsAsCrcErrorNeverTheBytes) {
     ASSERT_TRUE(got.is_ok()) << i << ": " << got.status().to_string();
     EXPECT_EQ(got.value(), recs[i].first);
   }
+}
+
+// A record goes to the log as a head plus a shared body: a slot record's
+// encoded prefix and its share's buffer. Head-only, body-only and head+body
+// records must read back and replay as exactly the bytes the contiguous
+// encoder builds (across FileWal's 4 KiB rotations), a retained SimWal
+// record must keep the caller's body buffer rather than a copy, and a byte
+// flipped inside the body on disk must read as corruption.
+TEST_P(WalReadBack, GatheredRecordsReadBackAsTheirContiguousBytes) {
+  constexpr uint32_t kG = 3;
+  Rng rng(11);
+  std::vector<Bytes> want;
+  std::vector<SharedBytes> bodies;
+  std::vector<std::shared_ptr<storage::WalPos>> pos;
+  auto add = [&](storage::WalRecord rec, Bytes contiguous) {
+    bodies.push_back(rec.body);
+    want.push_back(std::move(contiguous));
+    pos.push_back(h_->append(kG, std::move(rec)));
+  };
+  // Head only, the shape of meta and config records.
+  add(consensus::encode_meta_record(consensus::Ballot{7, 2}),
+      consensus::encode_meta_record(consensus::Ballot{7, 2}));
+  // Body only.
+  Bytes raw(1500);
+  rng.fill(raw.data(), raw.size());
+  add(storage::WalRecord(Bytes{}, SharedBytes(raw)), raw);
+  // Slot records, from an empty share to shares larger than a segment.
+  for (size_t len : {0u, 1u, 300u, 2500u, 5000u, 700u}) {
+    consensus::CodedShare share;
+    share.vid = consensus::ValueId{1, len};
+    share.share_idx = 2;
+    share.x = 3;
+    share.n = 5;
+    share.value_len = 3 * len;
+    share.header = to_bytes("hdr");
+    Bytes data(len);
+    rng.fill(data.data(), data.size());
+    share.data = std::move(data);
+    const consensus::Slot slot = 40 + len;
+    const consensus::Ballot ballot{3, 1};
+    add(storage::WalRecord(consensus::encode_slot_record_head(slot, ballot, share), share.data),
+        consensus::encode_slot_record(slot, ballot, share));
+    h_->drive();  // one batch per record, so FileWal rotates between them
+  }
+  h_->drive();
+
+  auto* sim = dynamic_cast<storage::SimWal*>(&h_->mux());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(pos[i]->valid()) << i;
+    auto got = h_->mux().read(kG, *pos[i]);
+    ASSERT_TRUE(got.is_ok()) << i << ": " << got.status().to_string();
+    EXPECT_EQ(got.value(), want[i]) << i;
+    if (sim != nullptr) {
+      const storage::WalRecord* kept = sim->retained(kG, *pos[i]);
+      ASSERT_NE(kept, nullptr) << i;
+      EXPECT_EQ(kept->body.id(), bodies[i].id()) << i;
+    }
+  }
+  h_->restart();
+  std::vector<Bytes> replayed;
+  h_->mux().replay(kG, [&](BytesView r, storage::WalPos) {
+    replayed.emplace_back(r.begin(), r.end());
+  });
+  EXPECT_EQ(replayed, want);
+
+  const size_t victim = want.size() - 2;  // the 5000-byte share: its last byte is body
+  if (!h_->corrupt(*pos[victim])) return;
+  EXPECT_EQ(h_->mux().read(kG, *pos[victim]).status().code(), Code::kCorruption);
 }
 
 INSTANTIATE_TEST_SUITE_P(
