@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ec/ec_pool.h"
 #include "net/frame.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -376,30 +375,6 @@ void Replica::propose_config(GroupConfig new_cfg, ProposeFn cb) {
                    Bytes{}, std::move(cb));
 }
 
-/// Everything a pool-encoded proposal needs to finish on the reactor thread.
-/// Holds the (immutable) payload, the pre-built accept frames (the codec
-/// writes into their gaps from the worker) and the leader's own share buffer
-/// (empty in full-copy mode, where the payload is the share); nothing in
-/// log_/pending_ references this proposal until the completion validates
-/// that leadership is unchanged — a stale completion must leave no trace of
-/// a share that was never sent.
-struct Replica::AsyncEncode {
-  Slot slot = 0;
-  EntryKind kind = EntryKind::kNormal;
-  ValueId vid;
-  Bytes header;
-  SharedBytes payload;
-  std::vector<Bytes> frames;
-  Bytes my_share;
-  std::vector<uint8_t*> dsts;
-  ProposeFn cb;
-  Ballot ballot;
-  Epoch epoch = 0;
-  obs::SpanContext commit_span;
-  obs::SpanContext encode_span;
-  TimeMicros proposed_at = 0;
-};
-
 void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
                                SharedBytes payload, ProposeFn cb) {
   if (slot == kNoSlot) {
@@ -465,68 +440,8 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
     dsts[static_cast<size_t>(idx)] = frames[static_cast<size_t>(idx)].data() + gap;
   }
 
-  if (opts_.ec_pool != nullptr && payload.size() >= kEcAsyncMinBytes) {
-    // Large value: run the GF(2^8) matrix work on the worker pool. The job
-    // owns every buffer the codec touches; the reactor installs nothing for
-    // this slot until the completion re-validates leadership, so a campaign
-    // finishing mid-encode can never leave an accepted-but-never-sent entry
-    // for a later promise to report.
-    auto job = std::make_shared<AsyncEncode>();
-    job->slot = slot;
-    job->kind = kind;
-    job->vid = vid;
-    job->header = std::move(header);
-    job->payload = std::move(payload);
-    job->frames = std::move(frames);
-    job->my_share = std::move(my_share);
-    job->dsts = std::move(dsts);
-    job->cb = std::move(cb);
-    job->ballot = ballot_;
-    job->epoch = cfg_.epoch;
-    job->commit_span = commit_span;
-    job->encode_span = encode_span;
-    job->proposed_at = proposed_at;
-    const ec::EcPolicy* codep = &code;  // cache entries are immortal
-    opts_.ec_pool->submit([this, job, codep] {
-      codep->encode_into(job->payload, job->dsts.data());
-      // set_timer is the one NodeContext entry point that is thread-safe on
-      // every transport; delay 0 posts the completion to the owning reactor.
-      ctx_->set_timer(0, [this, job] { on_encode_done(job); });
-    });
-    return;
-  }
-
   code.encode_into(payload, dsts.data());
   tracer.end_span(encode_span, static_cast<int64_t>(ctx_->now()));
-  finish_propose(slot, kind, vid, std::move(header), std::move(payload), std::move(cb),
-                 std::move(frames), std::move(my_share), commit_span, proposed_at);
-}
-
-void Replica::on_encode_done(std::shared_ptr<AsyncEncode> job) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.end_span(job->encode_span, static_cast<int64_t>(ctx_->now()));
-  if (role_ != Role::kLeader || job->ballot != ballot_ || job->epoch != cfg_.epoch) {
-    // Leadership or view moved while the pool held the value. Nothing was
-    // installed at submit time, so failing the caller is a clean abort.
-    tracer.end_span(job->commit_span, static_cast<int64_t>(ctx_->now()));
-    if (job->cb) {
-      job->cb(Status::unavailable("leadership changed during encode; hint=" +
-                                  std::to_string(leader_hint())));
-    }
-    return;
-  }
-  finish_propose(job->slot, job->kind, job->vid, std::move(job->header),
-                 std::move(job->payload), std::move(job->cb), std::move(job->frames),
-                 std::move(job->my_share), job->commit_span, job->proposed_at);
-}
-
-void Replica::finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                             SharedBytes payload, ProposeFn cb, std::vector<Bytes> frames,
-                             Bytes my_share, obs::SpanContext commit_span,
-                             TimeMicros proposed_at) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  const int n = cfg_.n();
-  const int my_idx = cfg_.index_of(ctx_->id());
 
   PendingProposal p;
   p.vid = vid;

@@ -40,10 +40,6 @@
 #include "snapshot/snapshot_store.h"
 #include "storage/wal.h"
 
-namespace rspaxos::ec {
-class EcWorkerPool;
-}
-
 namespace rspaxos::consensus {
 
 /// Tuning knobs; defaults suit LAN-scale tests. Benchmarks override them to
@@ -76,16 +72,8 @@ struct ReplicaOptions {
   /// many groups. Purely observational — routing derives the group from the
   /// endpoint id (net/routing.h).
   uint32_t group_id = 0;
-  /// When set, θ(X,N) encoding of payloads >= kEcAsyncMinBytes runs on this
-  /// worker pool instead of the reactor thread; the completion is posted back
-  /// via the NodeContext so large-value proposals no longer stall other
-  /// groups sharing the reactor. The pool must outlive the replica. Null
-  /// (and the single-threaded simulator) keeps the historical inline encode.
-  ec::EcWorkerPool* ec_pool = nullptr;
 };
 
-/// Smallest payload ReplicaOptions::ec_pool encodes off the reactor thread.
-inline constexpr size_t kEcAsyncMinBytes = 64u << 10;
 /// Snapshot fragment transfer chunk for offers / installs: well under the
 /// transport frame bound (64 MiB), small enough that head-of-line blocking of
 /// consensus traffic stays negligible.
@@ -349,16 +337,6 @@ class Replica final : public MessageHandler {
   static constexpr Slot kNoSlot = 0;
   void propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
                         SharedBytes payload, ProposeFn cb);
-  /// Everything a proposal does after its shares exist: installs the leader's
-  /// own log entry, registers the pending proposal, sends the accepts and
-  /// persists the leader's share. Runs on the reactor thread — directly for
-  /// inline encodes, or from the posted completion of a pool encode.
-  struct AsyncEncode;
-  void finish_propose(Slot slot, EntryKind kind, ValueId vid, Bytes header,
-                      SharedBytes payload, ProposeFn cb, std::vector<Bytes> frames,
-                      Bytes my_share, obs::SpanContext commit_span,
-                      TimeMicros proposed_at);
-  void on_encode_done(std::shared_ptr<AsyncEncode> job);
   void send_accept_to(NodeId member, const PendingProposal& p);
   void init_metrics();
   void on_accepted(NodeId from, AcceptedMsg msg);

@@ -176,7 +176,7 @@ StatusOr<std::unique_ptr<EcPolicy>> make_hh_policy(int x, int n);
 StatusOr<std::unique_ptr<EcPolicy>> make_policy(CodeId code, int x, int n);
 
 /// Process-wide policy cache keyed by (code, x, n). Thread-safe: get() may
-/// be called concurrently from reactor threads and ec::EcWorkerPool workers;
+/// be called concurrently from the reactor threads of a multi-reactor host;
 /// entries are immortal so returned references never dangle.
 class PolicyCache {
  public:

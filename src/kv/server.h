@@ -80,9 +80,8 @@ class KvServer final : public MessageHandler {
   /// A write batch is proposed as soon as it holds this many value bytes or
   /// this many writes, without waiting out KvServerOptions::batch_window. A
   /// value of kBatchMaxBytes or more never batches: it flushes the open batch
-  /// and commits alone. The cap is where the EC pool takes over the encode,
-  /// so a batch never turns small writes into a pool job.
-  static constexpr size_t kBatchMaxBytes = consensus::kEcAsyncMinBytes;
+  /// and commits alone.
+  static constexpr size_t kBatchMaxBytes = 64u << 10;
   static constexpr size_t kBatchMaxCount = 64;
 
   /// `snap` (optional) is the durable home of this node's checkpoint
@@ -119,6 +118,8 @@ class KvServer final : public MessageHandler {
   bool migration_active() const {
     return migration_ != nullptr && !migration_->finished();
   }
+  /// The current (or last) migration driver; null before the first one.
+  const MigrationDriver* migration() const { return migration_.get(); }
   bool shard_sealed(uint32_t shard) const { return sealed_.count(shard) > 0; }
   /// Admitted-but-unresolved writes of `shard` (the seal drain fence).
   size_t shard_inflight(uint32_t shard) const {

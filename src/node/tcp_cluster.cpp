@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "node/cluster_config.h"
+#include "util/logging.h"
 
 namespace rspaxos::node {
 
@@ -46,50 +47,12 @@ Status TcpCluster::boot() {
   R = std::max(1, std::min(R, static_cast<int>(groups)));
   reactors_ = R;
 
-  if (opts_.ec_pool_threads >= 0) {
-    int threads = opts_.ec_pool_threads;
-    if (threads == 0) {
-      threads = static_cast<int>(std::min(4u, std::max(1u, std::thread::hardware_concurrency())));
-    }
-    ec_pool_ = std::make_unique<ec::EcWorkerPool>(threads);
-  }
-
-  auto ports =
-      net::TcpTransport::free_ports(static_cast<size_t>(servers * R + opts_.num_clients));
-  if (ports.size() != static_cast<size_t>(servers * R + opts_.num_clients)) {
-    return Status::unavailable("tcp cluster: could not reserve listen ports");
-  }
-  // One listen address per *host* = per reactor: server s's reactor r is host
-  // s*R + r (its group endpoints collapse onto it via the reactor-aware
-  // HostMap{kGroupStride, R}); each client id is its own host.
-  std::map<net::HostId, net::PeerAddr> addrs;
-  for (int s = 0; s < servers; ++s) {
-    for (int r = 0; r < R; ++r) {
-      addrs[static_cast<net::HostId>(s * R + r)] =
-          net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(s * R + r)]};
-    }
-  }
-  for (int c = 0; c < opts_.num_clients; ++c) {
-    addrs[net::kClientBase + static_cast<NodeId>(c)] =
-        net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(servers * R + c)]};
-  }
-  net::HostMap hmap{net::kGroupStride};
-  hmap.reactors = static_cast<NodeId>(R);
-  transport_ = std::make_unique<net::TcpTransport>(std::move(addrs), hmap);
+  RSP_RETURN_IF_ERROR(start_endpoints());
 
   wals_.resize(static_cast<size_t>(servers * R));
   snaps_.resize(static_cast<size_t>(servers));
   hosts_.resize(static_cast<size_t>(servers));
   for (int s = 0; s < servers; ++s) {
-    // Endpoints first: the first start_node() on a host binds its socket, so
-    // a taken port surfaces here as a Status instead of inside NodeHost.
-    for (uint32_t g = 0; g < groups; ++g) {
-      NodeId id = net::endpoint_id(s, static_cast<int>(g));
-      auto ep = transport_->start_node(id);
-      if (!ep.is_ok()) return ep.status();
-      endpoints_[id] = ep.value();
-    }
-
     fs::path dir = fs::path(opts_.data_dir) / ("s" + std::to_string(s));
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -116,7 +79,6 @@ Status TcpCluster::boot() {
 
     NodeHostOptions hopts;
     hopts.replica = opts_.replica;
-    hopts.replica.ec_pool = ec_pool_.get();
     hopts.kv = opts_.kv;
     hopts.health = opts_.health;
     hopts.num_shards = opts_.num_shards;
@@ -165,6 +127,60 @@ Status TcpCluster::boot() {
     }
   }
   return Status::ok();
+}
+
+Status TcpCluster::start_endpoints() {
+  const int servers = opts_.num_servers;
+  const int R = reactors_;
+  const size_t num_ports = static_cast<size_t>(servers * R + opts_.num_clients);
+  // free_ports() releases its reservations before start_node() binds them, so
+  // another process can take a port in between. Every server endpoint binds
+  // here, before any WAL or host exists, so a raced port (kUnavailable) is
+  // retried from scratch with fresh ports; any other error returns at once.
+  constexpr int kAttempts = 5;
+  Status st;
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    endpoints_.clear();
+    transport_.reset();
+    auto ports = net::TcpTransport::free_ports(num_ports);
+    if (ports.size() != num_ports) {
+      return Status::unavailable("tcp cluster: could not reserve listen ports");
+    }
+    // One listen address per *host* = per reactor: server s's reactor r is
+    // host s*R + r (its group endpoints collapse onto it via the
+    // reactor-aware HostMap{kGroupStride, R}); each client id is its own host.
+    std::map<net::HostId, net::PeerAddr> addrs;
+    for (int s = 0; s < servers; ++s) {
+      for (int r = 0; r < R; ++r) {
+        addrs[static_cast<net::HostId>(s * R + r)] =
+            net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(s * R + r)]};
+      }
+    }
+    for (int c = 0; c < opts_.num_clients; ++c) {
+      addrs[net::kClientBase + static_cast<NodeId>(c)] =
+          net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(servers * R + c)]};
+    }
+    net::HostMap hmap{net::kGroupStride};
+    hmap.reactors = static_cast<NodeId>(R);
+    transport_ = std::make_unique<net::TcpTransport>(std::move(addrs), hmap);
+
+    st = Status::ok();
+    for (int s = 0; s < servers && st.is_ok(); ++s) {
+      for (uint32_t g = 0; g < opts_.num_groups; ++g) {
+        NodeId id = net::endpoint_id(s, static_cast<int>(g));
+        auto ep = transport_->start_node(id);
+        if (!ep.is_ok()) {
+          st = ep.status();
+          break;
+        }
+        endpoints_[id] = ep.value();
+      }
+    }
+    if (st.code() != Code::kUnavailable) return st;
+    RSP_WARN << "tcp cluster: " << st.to_string() << " (attempt " << attempt + 1 << " of "
+             << kAttempts << ")";
+  }
+  return st;
 }
 
 Status TcpCluster::start_admin(int s) {
@@ -220,13 +236,11 @@ Status TcpCluster::start_admin(int s) {
 
 TcpCluster::~TcpCluster() {
   // Admin servers first: their handlers read hosts and post onto loops.
-  // Then detach handlers and join the server loops: a handler that read its
-  // pointer before the detach, or a timer (the KV batch window), could
-  // otherwise still propose and submit an encode to a pool being destroyed.
-  // Then drain the EC pool and stop the WALs; their completions post into
-  // the stopped loops, which drop them, while the transport still owns the
-  // nodes they post to. Only afterwards is it safe to destroy servers, WALs
-  // and stores (no delivery or completion can be in flight).
+  // Then detach handlers and join the server loops, and stop the WALs: their
+  // completions post into the stopped loops, which drop them, while the
+  // transport still owns the nodes they post to. Only afterwards is it safe
+  // to destroy servers, WALs and stores (no delivery or completion can be in
+  // flight).
   for (auto& a : admins_) {
     if (a) a->stop();
   }
@@ -239,7 +253,6 @@ TcpCluster::~TcpCluster() {
     if (h) h->stop();
   }
   for (auto& [id, ep] : endpoints_) ep->shutdown();
-  ec_pool_.reset();
   for (auto& w : wals_) {
     if (w) w->stop();
   }

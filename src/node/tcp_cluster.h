@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "ec/ec_pool.h"
 #include "kv/client.h"
 #include "net/tcp_transport.h"
 #include "node/balancer.h"
@@ -44,10 +43,6 @@ struct TcpClusterOptions {
   /// Reactors (event loop + socket + WAL + watchdog) per server. 0 = auto:
   /// min(num_groups, hardware cores). Always clamped to [1, num_groups].
   int reactors = 1;
-  /// EC worker pool threads shared by every hosted replica for off-loop
-  /// encodes of large values. 0 = auto (hardware cores, capped at 4);
-  /// negative = no pool (all encodes inline on the proposing reactor).
-  int ec_pool_threads = 0;
   /// true: RS-Paxos with QR=QW=N-f, X=N-2f; false: classic majority Paxos.
   bool rs_mode = true;
   int f = 1;  // target fault tolerance for rs_mode
@@ -132,14 +127,14 @@ class TcpCluster {
  private:
   explicit TcpCluster(TcpClusterOptions opts) : opts_(std::move(opts)) {}
   Status boot();
+  /// Reserves ports, builds the transport and binds every server endpoint,
+  /// retrying with fresh ports when a reservation was raced.
+  Status start_endpoints();
   Status start_admin(int s);
 
   TcpClusterOptions opts_;
   int reactors_ = 1;  // resolved from opts_.reactors at boot
   std::unique_ptr<net::TcpTransport> transport_;
-  /// Shared EC worker pool: destroyed after hosts stop (no new submissions)
-  /// but before the transport (queued completions post onto live loops).
-  std::unique_ptr<ec::EcWorkerPool> ec_pool_;
   std::vector<std::unique_ptr<storage::FileWal>> wals_;  // [s * reactors_ + r]
   std::vector<std::unique_ptr<snapshot::GroupedSnapshotStore>> snaps_;  // per server
   std::vector<std::unique_ptr<NodeHost>> hosts_;                        // per server

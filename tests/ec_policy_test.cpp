@@ -317,9 +317,9 @@ TEST(EcPolicy, CodeIdRoundTrip) {
   EXPECT_FALSE(ec::parse_code_id("xor").has_value());
 }
 
-// Regression for the cache thread-safety satellite: EcWorkerPool workers and
-// reactor threads hit RsCodeCache::get / PolicyCache::get concurrently while
-// encoding. Run under TSan via the tsan preset.
+// The reactor threads of a multi-reactor host (TcpClusterOptions::reactors
+// > 1) hit RsCodeCache::get / PolicyCache::get concurrently while encoding
+// and decoding. Run under TSan via the tsan preset.
 TEST(EcPolicy, CachesAreThreadSafe) {
   constexpr int kThreads = 8;
   constexpr int kIters = 200;

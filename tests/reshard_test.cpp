@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "kv/cluster.h"
+#include "kv/migration.h"
 #include "load/open_loop.h"
 
 namespace rspaxos::kv {
@@ -221,12 +222,21 @@ TEST(Reshard, CrashSourceLeaderMidCopyAbortsCleanly) {
   KvServer* srv = f.cluster.server(src, static_cast<int>(kFrom));
   srv->start_migration(kShard, kTo);
   // Run until the prepare epoch is visible on ANOTHER machine (the meta
-  // commit is durable cluster-wide), then kill the source leader while its
-  // driver is still copying.
+  // commit is durable cluster-wide) and the destination has acknowledged at
+  // least one chunk, then kill the source leader while its driver is still
+  // copying.
   int witness = (src + 1) % f.cluster.options().num_servers;
-  f.run_until([&] { return f.cluster.host(witness)->routing()->epoch() >= 1; });
+  auto copying = [&] {
+    const MigrationDriver* d = srv->migration();
+    return d != nullptr && std::string(d->phase_name()) == "copy" && d->moved_bytes() > 0;
+  };
+  f.run_until(
+      [&] { return f.cluster.host(witness)->routing()->epoch() >= 1 && copying(); });
   ASSERT_GE(f.cluster.host(witness)->routing()->epoch(), 1u);
-  ASSERT_TRUE(srv->migration_active()) << "copy finished before the crash window";
+  const MigrationDriver* driver = srv->migration();
+  ASSERT_NE(driver, nullptr);
+  ASSERT_STREQ(driver->phase_name(), "copy") << "the crash would miss the copy phase";
+  ASSERT_GT(driver->moved_bytes(), 0u) << "no chunk acknowledged before the crash";
   f.cluster.crash_server(src);
 
   // New source leader -> janitor adopts the orphan -> abort: record removed,

@@ -78,6 +78,14 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
   std::vector<std::unique_ptr<kv::KvServer>> servers(kReplicas);
   std::vector<net::TcpNode*> nodes(kReplicas, nullptr);
   auto transport = std::make_unique<net::TcpTransport>(addrs);
+  // A flush that completes posts its durability callback onto the replica's
+  // node, so the flushers stop before the transport frees the nodes (the
+  // order ~TcpCluster keeps).
+  auto stop_wals = [&] {
+    for (auto& w : wals) {
+      if (w) w->stop();
+    }
+  };
 
   auto start_replica = [&](int i, bool bootstrap) {
     auto node = transport->start_node(static_cast<NodeId>(i + 1));
@@ -158,6 +166,7 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
   // restore from WAL + snapshot store, and a brand-new fifth joins. The
   // fifth's next-needed slot (1) is below every peer's log start and no
   // transport backlog survives, so the only way home is InstallSnapshot.
+  stop_wals();
   transport.reset();
   servers.clear();
   servers.resize(kReplicas);
@@ -205,7 +214,9 @@ TEST(SnapshotTcp, LateReplicaConvergesViaInstallSnapshot) {
     EXPECT_EQ(got.value(), value_for(i));
   }
 
-  // Transport first (joins all I/O threads), then servers/WALs are safe to free.
+  // WAL flushers, then the transport (joins all I/O threads); then servers
+  // and WALs are safe to free.
+  stop_wals();
   transport.reset();
   servers.clear();
   wals.clear();

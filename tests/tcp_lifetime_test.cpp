@@ -3,11 +3,10 @@
 //    flushers before it frees the transport's nodes, because a flush that
 //    completes posts its durability callback onto the node (this once was a
 //    heap-use-after-free under ASan);
-//  - the async EC offload path: values >= consensus::kEcAsyncMinBytes
-//    are encoded on the worker pool, and the payload buffer the worker reads
-//    is the one the log entry and KV row keep. Round-trips 64 KiB values at
-//    θ(3,5), across a leader change whose successor must recover the old
-//    values from shares;
+//  - large values: a value of kv::KvServer::kBatchMaxBytes (64 KiB) commits
+//    alone as one θ(3,5) instance, encoded on the proposer's loop into its
+//    accept frames. Round-trips such values across a leader change whose
+//    successor must recover the old values from shares;
 //  - shares evicted behind the horizon come back from the FileWal: a
 //    recovery read of an evicted 64 KiB value across a leader transfer.
 #include <gtest/gtest.h>
@@ -150,11 +149,10 @@ Bytes pattern(int key, int version, size_t len) {
   return v;
 }
 
-TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
-  auto dir = fresh_dir("offload");
+TEST(TcpLifetime, LargeValuesAcrossLeaderChange) {
+  auto dir = fresh_dir("large");
   node::TcpClusterOptions opts = base_options(dir, 5);
-  opts.ec_pool_threads = 2;
-  const size_t kLen = consensus::kEcAsyncMinBytes;  // 64 KiB: pool-encoded
+  const size_t kLen = kv::KvServer::kBatchMaxBytes;  // 64 KiB: never batched
   constexpr int kKeys = 12;
   auto started = node::TcpCluster::start(opts);
   ASSERT_TRUE(started.is_ok()) << started.status().to_string();
@@ -194,7 +192,7 @@ TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
       << "leadership never moved";
   const int second = cluster->leader_server_of(0);
 
-  // Overwrite half the keys through the new leader's offload path.
+  // Overwrite half the keys through the new leader.
   for (int i = 0; i < kKeys; i += 2) {
     ASSERT_TRUE(c.put("big" + std::to_string(i), pattern(i, 1, kLen)).is_ok()) << i;
   }
@@ -214,9 +212,8 @@ TEST(TcpLifetime, LargeValuesThroughEcOffloadAcrossLeaderChange) {
 TEST(TcpLifetime, EvictedLargeValueRecoveredFromFileWalAcrossLeaderTransfer) {
   auto dir = fresh_dir("evicted");
   node::TcpClusterOptions opts = base_options(dir, 5);
-  opts.ec_pool_threads = 2;
   opts.replica.payload_cache_slots = 4;
-  const size_t kLen = consensus::kEcAsyncMinBytes;
+  const size_t kLen = kv::KvServer::kBatchMaxBytes;
   constexpr int kKeys = 4;
   auto started = node::TcpCluster::start(opts);
   ASSERT_TRUE(started.is_ok()) << started.status().to_string();
