@@ -385,9 +385,9 @@ void run_rpc_sweep() {
   }
   std::fprintf(f,
                "{\n  \"transport\": \"tcp\",\n  \"sender_threads\": %d,\n"
-               "  \"cores\": %u,\n  \"reactors\": 1,\n  \"io_backend\": \"%s\",\n"
-               "  \"note\": \"median of 3 runs per cell; reactors=1 because the "
-               "sweep drives a single point-to-point node pair; io_backend is "
+               "  \"cores\": %u,\n  \"io_backend\": \"%s\",\n"
+               "  \"note\": \"median of 3 runs per cell; the sweep drives a "
+               "single point-to-point node pair; io_backend is "
                "the driver behind both the sweep's transport loop and FileWal "
                "(RSPAXOS_IO_BACKEND). On single-core hosts frames >=64KiB are "
                "memory-bandwidth-bound, so the syscall savings show up at "

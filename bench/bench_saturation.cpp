@@ -499,7 +499,7 @@ void emit_json(const Sweep& sim, const TcpResults& tcp, bool smoke) {
                "  \"measurement\": \"open-loop Poisson arrivals; latency from "
                "intended arrival time (coordinated-omission-safe)\",\n"
                "  \"value_bytes\": %zu,\n  \"client_window\": %zu,\n",
-               smoke ? "smoke" : "full", bench_meta_json(1).c_str(), kValueBytes,
+               smoke ? "smoke" : "full", bench_meta_json().c_str(), kValueBytes,
                kClientWindow);
   std::fprintf(f,
                "  \"sim\": {\n    \"cluster\": \"5 servers, theta(3,5), LAN, SSD\",\n"

@@ -1,7 +1,7 @@
 // WAL backend micro-benchmark: FileWal group-commit throughput, epoll-style
 // write+fdatasync vs the io_uring WRITEV→FSYNC linked-chain backend
 // (DESIGN.md §12), on the real filesystem. This is the WAL-fsync-bound
-// measurement the reactor work is judged against: bench_rpc_micro never
+// measurement the io_uring backend is judged against: bench_rpc_micro never
 // touches a disk and bench_multi_group runs on the simulator, so neither can
 // see a syscall-path difference. Closed-loop with a bounded in-flight window
 // so group commit has company to amortize, exactly like a leader with
@@ -139,7 +139,7 @@ int main_impl() {
     return 1;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"wal_backend_micro\", %s,\n",
-               bench_meta_json(1).c_str());
+               bench_meta_json().c_str());
   std::fprintf(f,
                "  \"note\": \"real-filesystem FileWal group commit, closed loop "
                "(4 groups, window 16); io_backend above is the build default, each "

@@ -46,14 +46,12 @@ inline DiskKind hdd() { return DiskKind{"HDD", sim::DiskParams::hdd()}; }
 inline DiskKind ssd() { return DiskKind{"SSD", sim::DiskParams::ssd()}; }
 
 /// Execution-environment metadata stamped into every bench JSON header (no
-/// surrounding braces — splice into an object): the host's ACTUAL core count,
-/// the reactor count the cluster ran with, and the IO backend this build
-/// would select. A result claiming 4-way parallelism from a 1-core container
-/// is a lie; these fields make the claim checkable after the fact.
-inline std::string bench_meta_json(int reactors) {
+/// surrounding braces — splice into an object): the host's ACTUAL core count
+/// and the IO backend this build would select, so a result's claims are
+/// checkable after the fact.
+inline std::string bench_meta_json() {
   return "\"cores\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"reactors\": " + std::to_string(reactors) + ", \"io_backend\": \"" +
-         util::io_backend_name() + "\"";
+         ", \"io_backend\": \"" + util::io_backend_name() + "\"";
 }
 
 /// Replica timing used by all benchmarks (scaled for WAN round trips).

@@ -27,6 +27,14 @@
 #                               # bench_reshard --smoke gated on the JSON
 #                               # showing the migration completed with sane
 #                               # copy amplification.
+#   scripts/check.sh --stress REGEX N
+#                               # flake hunt: reruns the tests matching the
+#                               # ctest regex N times while full `ctest -j`
+#                               # runs loop beside them as load. Every failing
+#                               # run's whole output is kept under
+#                               # build/stress/, with the crashing thread's
+#                               # stack (scripts/crashstack.c, preloaded)
+#                               # symbolized. Exits 1 when any rerun failed.
 #
 # The sanitizer presets build into their own trees (build-asan/ build-tsan/
 # build-ubsan/) and run curated subsets: ASan+UBSan runs everything, TSan
@@ -44,8 +52,15 @@ SAT=0
 URING=0
 CODES=0
 RESHARD=0
-for arg in "$@"; do
-  case "$arg" in
+STRESS_RE=""
+STRESS_N=0
+usage() {
+  echo "usage: $0 [--fast] [--san] [--obs] [--sat] [--uring] [--codes] [--reshard]" \
+       "[--stress REGEX N]" >&2
+  exit 2
+}
+while [[ $# -gt 0 ]]; do
+  case "$1" in
     --fast) FAST=1 ;;
     --san) SAN=1 ;;
     --obs) OBS=1 ;;
@@ -53,8 +68,14 @@ for arg in "$@"; do
     --uring) URING=1 ;;
     --codes) CODES=1 ;;
     --reshard) RESHARD=1 ;;
-    *) echo "usage: $0 [--fast] [--san] [--obs] [--sat] [--uring] [--codes] [--reshard]" >&2; exit 2 ;;
+    --stress)
+      [[ $# -ge 3 && "$3" =~ ^[1-9][0-9]*$ ]] || usage
+      STRESS_RE="$2"
+      STRESS_N="$3"
+      shift 2 ;;
+    *) usage ;;
   esac
+  shift
 done
 
 run_preset() {
@@ -159,6 +180,59 @@ EOF
   exit 0
 fi
 
+if [[ -n "$STRESS_RE" ]]; then
+  cmake --preset default
+  cmake --build --preset default -j "$JOBS"
+  out=build/stress
+  rm -rf "$out"
+  mkdir -p "$out"
+  lib="$PWD/$out/libcrashstack.so"
+  cc -O2 -Wall -shared -fPIC scripts/crashstack.c -o "$lib" -ldl
+  # Resolves the "crashstack: #i <object> +0x<off>" frames of a kept log.
+  symbolize() {
+    { grep '^crashstack: #' "$1" || true; } | while read -r _ idx obj off; do
+      if [[ -f "$obj" ]]; then
+        echo "$idx $(addr2line -Cfip -e "$obj" "${off#+}" 2>/dev/null | head -1)"
+      fi
+    done > "$1.stack"
+    [[ -s "$1.stack" ]] || rm -f "$1.stack"
+  }
+  # Load: whole-suite runs, one after another, until the reruns are done.
+  # A failing load run is kept too: the flake may show there.
+  (
+    i=0
+    while [[ ! -e "$out/stop" ]]; do
+      i=$((i + 1))
+      if LD_PRELOAD="$lib" ctest --preset default -j "$JOBS" > "$out/load.$i.log" 2>&1; then
+        rm -f "$out/load.$i.log"
+      else
+        mv "$out/load.$i.log" "$out/load.$i.FAILED.log"
+        symbolize "$out/load.$i.FAILED.log"
+      fi
+    done
+  ) &
+  load=$!
+  trap 'touch "$out/stop"; wait "$load" 2>/dev/null || true' EXIT
+  fails=0
+  for ((i = 1; i <= STRESS_N; i++)); do
+    if LD_PRELOAD="$lib" ctest --preset default -R "$STRESS_RE" > "$out/run.$i.log" 2>&1; then
+      rm -f "$out/run.$i.log"
+    else
+      fails=$((fails + 1))
+      mv "$out/run.$i.log" "$out/run.$i.FAILED.log"
+      symbolize "$out/run.$i.FAILED.log"
+      echo "check.sh: stress run $i of $STRESS_N FAILED (log: $out/run.$i.FAILED.log)"
+    fi
+  done
+  touch "$out/stop"
+  wait "$load" || true
+  trap - EXIT
+  echo "check.sh: stress '$STRESS_RE': $fails of $STRESS_N runs failed;" \
+       "$(ls "$out" | grep -c 'load.*FAILED.log$' || true) failing load runs kept in $out/"
+  [[ "$fails" == 0 ]]
+  exit
+fi
+
 if [[ "$URING" == 1 ]]; then
   # io_uring lane: the suites that exercise IoDriver on both of its surfaces —
   # FileWal's WRITEV+FSYNC flusher and the TCP transport's readiness loop —
@@ -176,7 +250,7 @@ if [[ "$URING" == 1 ]]; then
   cmake --build --preset default -j "$JOBS"
   echo "=== [default] ctest (RSPAXOS_IO_BACKEND=uring) ==="
   RSPAXOS_IO_BACKEND=uring ctest --preset default -j "$JOBS" \
-    -R 'storage_test|wal_conformance_test|transport_test|multi_group_tcp_test|multi_reactor_test|admin_http_test'
+    -R 'storage_test|wal_conformance_test|transport_test|multi_group_tcp_test|admin_http_test'
   echo "check.sh: uring suites passed"
   exit 0
 fi

@@ -239,7 +239,6 @@ void Replica::on_promise(NodeId from, PromiseMsg msg) {
 void Replica::become_leader() {
   role_ = Role::kLeader;
   leader_ = ctx_->id();
-  leader_mirror_.store(leader_, std::memory_order_relaxed);
   m_.times_elected.inc();
   if (election_timer_ != 0) {
     ctx_->cancel_timer(election_timer_);
@@ -307,7 +306,6 @@ void Replica::become_follower(Ballot seen, NodeId leader) {
   ballot_ = std::max(ballot_, seen);
   if (leader != kNoNode) {
     leader_ = leader;
-    leader_mirror_.store(leader_, std::memory_order_relaxed);
   }
   if (heartbeat_timer_ != 0) {
     ctx_->cancel_timer(heartbeat_timer_);
@@ -655,7 +653,6 @@ void Replica::on_accept(NodeId from, AcceptMsg msg) {
   }
   ballot_ = std::max(ballot_, msg.ballot);
   leader_ = msg.ballot.node;
-  leader_mirror_.store(leader_, std::memory_order_relaxed);
   last_leader_contact_ = ctx_->now();
   follower_lease_until_ = ctx_->now() + opts_.lease_duration + opts_.max_clock_drift;
   arm_election_timer();
@@ -712,7 +709,6 @@ void Replica::on_commit(NodeId from, CommitMsg msg) {
     ballot_ = msg.ballot;
   }
   leader_ = msg.ballot.node;
-  leader_mirror_.store(leader_, std::memory_order_relaxed);
   last_leader_contact_ = ctx_->now();
   follower_lease_until_ = ctx_->now() + opts_.lease_duration + opts_.max_clock_drift;
   arm_election_timer();

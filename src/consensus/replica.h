@@ -22,7 +22,6 @@
 //     quorums and coding (§4.6).
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -188,9 +187,6 @@ class Replica final : public MessageHandler {
   bool is_leader() const { return role_ == Role::kLeader; }
   /// Best-known leader (kNoNode if unknown).
   NodeId leader_hint() const;
-  /// Lock-free leader hint readable from any thread (relaxed; may lag a few
-  /// messages behind leader_hint()). Used by the cross-reactor balancer.
-  NodeId leader_hint_relaxed() const { return leader_mirror_.load(std::memory_order_relaxed); }
   /// True while the §4.3 lease makes a leader-local fast read safe.
   bool lease_valid() const;
   Slot commit_index() const { return commit_index_; }
@@ -450,9 +446,6 @@ class Replica final : public MessageHandler {
   Ballot ballot_;            // highest ballot seen/owned
   Ballot promised_;          // durable promise covering all slots
   NodeId leader_ = kNoNode;  // current leader hint
-  /// Relaxed mirror of leader_, maintained at every assignment; see
-  /// leader_hint_relaxed().
-  std::atomic<NodeId> leader_mirror_{kNoNode};
   uint64_t vid_seq_ = 1;
 
   std::map<Slot, LogEntry> log_;

@@ -545,7 +545,7 @@ StatusOr<const EcPolicy*> PolicyCache::get_checked(uint8_t code, uint64_t x,
   // Entries are heap-allocated once and never evicted, so returned pointers
   // stay valid for the life of the process even as the map rehashes — the
   // same immortality contract RsCodeCache relies on. The mutex makes lookup
-  // safe from concurrent reactor threads (a host with more than one reactor).
+  // safe from the loop threads of every host one process runs.
   static std::mutex mu;
   static auto* cache =
       new std::map<std::tuple<uint8_t, int, int>, std::unique_ptr<EcPolicy>>();

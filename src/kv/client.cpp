@@ -104,8 +104,7 @@ void KvClient::del(const std::string& key, PutFn cb) {
 
 void KvClient::submit(Outstanding&& o) {
   // Single-loop contract: every mutation of client state must come from the
-  // context's own thread. With multi-reactor hosts it became easy to grab a
-  // client from the wrong loop — fail loudly instead of silently racing.
+  // context's own thread — fail loudly instead of silently racing.
   assert(ctx_->on_context_thread());
   o.req.req_id = next_req_id_++;
   o.meta = is_meta_key(o.req.key);

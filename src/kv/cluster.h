@@ -45,13 +45,6 @@ struct SimClusterOptions {
   /// Key-space shards for elastic resharding. 0 = num_groups (the historical
   /// one-shard-per-group contract as epoch 0 of a live routing table).
   int num_shards = 0;
-  /// Reactors per machine (clamped to [1, num_groups] at construction). The
-  /// sim stays single-threaded; what reactors model here is the per-reactor
-  /// storage split — reactor r gets its OWN multiplexed SimWal on the shared
-  /// disk, so group commits of different reactors overlap instead of
-  /// serializing behind one log's in-flight flush (the G-scaling collapse
-  /// the multi-reactor refactor exists to fix).
-  int reactors = 1;
   /// true: RS-Paxos with QR=QW=N-f, X=N-2f; false: classic majority Paxos.
   bool rs_mode = true;
   int f = 1;  // target fault tolerance for rs_mode
@@ -106,14 +99,12 @@ class SimCluster {
   }
   sim::SimNetwork& network() { return network_; }
   sim::SimDisk& disk(int s) { return *disks_[static_cast<size_t>(s)]; }
-  /// Group g's view of its reactor's log on server s (the Wal the replica
-  /// writes): reactor g % R, group-local index g / R.
+  /// Group g's view of server s's machine log (the Wal the replica writes).
   storage::Wal& wal(int s, int g) {
-    int r = g % opts_.reactors;
-    return *wals_[widx(s, r)]->group(static_cast<uint32_t>(g / opts_.reactors));
+    return *wals_[static_cast<size_t>(s)]->group(static_cast<uint32_t>(g));
   }
-  /// Reactor r's machine log on server s, multiplexed across its groups.
-  storage::SimWal& host_wal(int s, int r = 0) { return *wals_[widx(s, r)]; }
+  /// Server s's machine log, multiplexed across its groups.
+  storage::SimWal& host_wal(int s) { return *wals_[static_cast<size_t>(s)]; }
   snapshot::SimSnapshotStore& snap_store(int s, int g) { return *snaps_[idx(s, g)]; }
   const SimClusterOptions& options() const { return opts_; }
 
@@ -149,10 +140,6 @@ class SimCluster {
     return static_cast<size_t>(s) * static_cast<size_t>(opts_.num_groups) +
            static_cast<size_t>(g);
   }
-  size_t widx(int s, int r) const {
-    return static_cast<size_t>(s) * static_cast<size_t>(opts_.reactors) +
-           static_cast<size_t>(r);
-  }
   void build_host(int s, bool initial);
   void start_admin(int s);
 
@@ -160,7 +147,7 @@ class SimCluster {
   SimClusterOptions opts_;
   sim::SimNetwork network_;
   std::vector<std::unique_ptr<sim::SimDisk>> disks_;                // per server
-  std::vector<std::unique_ptr<storage::SimWal>> wals_;              // [s * reactors + r]
+  std::vector<std::unique_ptr<storage::SimWal>> wals_;              // per server
   std::vector<std::unique_ptr<snapshot::SimSnapshotStore>> snaps_;  // per (s, g)
   std::vector<std::unique_ptr<node::NodeHost>> hosts_;              // per server
   std::vector<std::unique_ptr<node::Balancer>> balancers_;          // per server

@@ -51,15 +51,12 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
   m_.redirects = counter("rsp_kv_redirects_total", "Client requests bounced to the leader");
   m_.batches_committed =
       counter("rsp_kv_batches_committed_total", "Composite batch instances committed");
-  // Admission series carry the owning reactor so shed storms are
-  // attributable to one overloaded core rather than the whole machine.
-  std::string reactor = std::to_string(kv_opts_.reactor);
   auto shed = [&](const char* reason) {
     return obs::CounterView(
         &reg.counter_family("rsp_admission_shed_total",
                             "Client requests bounced with kOverloaded by admission control",
-                            {"node", "group", "reactor", "reason"})
-             .with({node, group, reactor, reason}));
+                            {"node", "group", "reason"})
+             .with({node, group, reason}));
   };
   m_.shed_inflight = shed("inflight");
   m_.shed_queue_bytes = shed("queue_bytes");
@@ -81,13 +78,13 @@ KvServer::KvServer(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg,
   m_.adm_inflight =
       &reg.gauge_family("rsp_admission_inflight",
                         "Replication ops accepted but not yet committed",
-                        {"node", "group", "reactor"})
-           .with({node, group, reactor});
+                        {"node", "group"})
+           .with({node, group});
   m_.adm_queue_bytes =
       &reg.gauge_family("rsp_admission_queue_bytes",
                         "Client value bytes accepted but not yet committed",
-                        {"node", "group", "reactor"})
-           .with({node, group, reactor});
+                        {"node", "group"})
+           .with({node, group});
 }
 
 void KvServer::admission_acquire(size_t bytes) {

@@ -64,15 +64,12 @@ struct KvServerOptions {
   /// the open batch, which commits as ONE composite RS-Paxos instance — one
   /// quorum round trip and one WAL record for the whole batch. The batch is
   /// proposed from a timer set this long after its first write: 0 closes it
-  /// when the reactor cycle that opened it runs its timers, so the writes one
+  /// when the loop cycle that opened it runs its timers, so the writes one
   /// socket read delivers share an instance without waiting. It also closes
   /// early at KvServer::kBatchMaxBytes / kBatchMaxCount. A batch of one
   /// commits as a plain command.
   DurationMicros batch_window = 0;
   KvAdmissionOptions admission;
-  /// Reactor hosting this group (label on the rsp_admission_* series).
-  /// NodeHost fills it from its placement; standalone servers leave 0.
-  uint32_t reactor = 0;
 };
 
 class KvServer final : public MessageHandler {
@@ -106,7 +103,7 @@ class KvServer final : public MessageHandler {
   /// no redirects, no migrations.
   void set_routing(RoutingView* routing) { routing_ = routing; }
   /// Apply-path hook bumping the host's per-shard write counters (balancer
-  /// input). Runs on this server's reactor for every applied write.
+  /// input). Runs on this server's loop for every applied write.
   using ShardWriteFn = std::function<void(uint32_t shard)>;
   void set_shard_write_hook(ShardWriteFn fn) { shard_write_ = std::move(fn); }
 

@@ -68,8 +68,8 @@ struct ShardMap {
 };
 
 /// Thread-safe, machine-wide holder of the newest ShardMap this host has
-/// applied. Published from the meta group's apply path (any reactor), read on
-/// every request path of every reactor and by the admin plane — hence the
+/// applied. Published from the meta group's apply path, read on every request
+/// path and by the admin plane's thread — hence the
 /// immutable-snapshot-behind-a-mutex shape: readers take a shared_ptr copy,
 /// never the lock across use.
 class RoutingView {

@@ -35,8 +35,7 @@ uint64_t OpenLoopGen::pick_key() {
 void OpenLoopGen::start(std::function<void()> on_done) {
   // The generator shares its client's single-loop contract: arrivals, timer
   // pumps and completions all run on ctx_'s loop. Starting it from another
-  // thread (easy to do by accident against a multi-reactor host) would race
-  // every counter here — fail loudly.
+  // thread would race every counter here — fail loudly.
   assert(ctx_->on_context_thread());
   on_done_ = std::move(on_done);
   start_us_ = static_cast<int64_t>(ctx_->now());

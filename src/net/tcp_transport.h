@@ -16,11 +16,8 @@
 // destination endpoint in the header, and the receiving host demultiplexes
 // inbound frames to the right TcpNode. The default HostMap is the identity,
 // preserving the historical one-node-per-socket behavior for existing
-// assemblies. A HostMap with reactors > 1 makes each (server, reactor) pair
-// its own TcpHost — N listen sockets and loop threads per machine with
-// round-robin static group placement — so frames land directly on the owning
-// reactor's socket and consensus for independent shards runs truly in
-// parallel.
+// assemblies. A machine is one TcpHost: one listen socket and one loop
+// thread for every group it hosts (DESIGN.md §12).
 //
 // send() never touches a socket: it appends the frame to a bounded per-peer
 // outbound queue (drop-oldest backpressure, preserving the datagram
@@ -119,8 +116,7 @@ class TcpNode final : public NodeContext {
 
 /// One physical endpoint: listener socket, EventLoop (reactor + protocol
 /// thread) and per-peer-host outbound queues, serving every TcpNode mapped
-/// onto it. With a reactors > 1 HostMap, one machine runs several TcpHosts —
-/// one per reactor.
+/// onto it.
 class TcpHost {
  public:
   ~TcpHost();

@@ -100,7 +100,7 @@ class NodeContext : public Clock {
   /// True when the caller is on this node's execution thread (the thread all
   /// handlers and timers run on). Loop-confined client-side state (KvClient,
   /// OpenLoopGen) asserts on this instead of silently racing when a caller
-  /// mixes contexts from different reactors. Transports without a dedicated
+  /// mixes contexts from different loops. Transports without a dedicated
   /// thread (the simulator's single-threaded world) report true.
   virtual bool on_context_thread() const { return true; }
 };

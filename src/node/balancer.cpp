@@ -50,8 +50,8 @@ void Balancer::tick() {
   bool was_primed = primed_;
   primed_ = true;
 
-  // This tick runs on reactor 0 — the meta group's loop — so reading its
-  // replica's role is race-free. Meta leadership elects the one active
+  // This tick runs on the host's loop, which every group shares, so reading
+  // replica state is race-free. Meta leadership elects the one active
   // balancer; everyone else only samples.
   kv::KvServer* meta = host_->server(kv::kMetaGroup);
   if (meta == nullptr || !meta->replica().is_leader()) return;
@@ -131,7 +131,7 @@ void Balancer::maybe_move_leader() {
   for (uint32_t g = 0; g < G; ++g) {
     kv::KvServer* srv = host_->server(g);
     if (srv == nullptr) continue;
-    NodeId hint = srv->replica().leader_hint_relaxed();
+    NodeId hint = srv->replica().leader_hint();
     if (hint == kNoNode) continue;  // mid-election; leave that group alone
     int s = net::server_of_endpoint(hint);
     if (s < 0 || s >= nservers) continue;

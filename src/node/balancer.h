@@ -5,8 +5,8 @@
 // own group elects the single active balancer machine-set-wide, with zero
 // extra coordination state. Each tick it:
 //
-//   1. Reads the per-shard applied-write counters every reactor of its host
-//      bumps (NodeHost::shard_writes) and forms per-interval deltas. The
+//   1. Reads the per-shard applied-write counters its host's groups bump
+//      (NodeHost::shard_writes) and forms per-interval deltas. The
 //      meta leader applies every write of every group it hosts, so its local
 //      counters are a faithful sample of cluster-wide shard load.
 //   2. Shard moves: if one group's write rate exceeds `hot_ratio` times the
@@ -50,8 +50,8 @@ struct BalancerOptions {
   uint32_t leader_slack = 2;
 };
 
-/// Runs on its host's reactor-0 loop (the meta group's reactor, so reading
-/// the meta replica's role is loop-confined). start() arms the tick timer;
+/// Runs on its host's loop (the one every group shares, so reading replica
+/// state is loop-confined). start() arms the tick timer;
 /// stop() (or destruction) quiesces — a late-firing timer sees the dead flag
 /// and does nothing, so no cross-thread timer cancellation is needed.
 class Balancer {
@@ -79,7 +79,7 @@ class Balancer {
 
   NodeHost* host_;
   BalancerOptions opts_;
-  NodeContext* ctx_ = nullptr;  // reactor-0 endpoint (meta group's loop)
+  NodeContext* ctx_ = nullptr;  // meta group's endpoint (the host's loop)
   std::shared_ptr<std::atomic<bool>> alive_;
   std::vector<uint64_t> last_;  // per-shard counter snapshot at the last tick
   bool primed_ = false;         // first tick only snapshots

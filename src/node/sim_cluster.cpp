@@ -18,14 +18,12 @@ SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
   // loudly. Every group has the same geometry.
   assert(node::cluster_group_config(opts_.num_servers, 0, opts_.rs_mode, opts_.f, opts_.code)
              .is_ok());
-  opts_.reactors = std::max(1, std::min(opts_.reactors, opts_.num_groups));
-  const int R = opts_.reactors;
   network_.set_default_link(opts_.link);
   disks_.reserve(static_cast<size_t>(opts_.num_servers));
   for (int s = 0; s < opts_.num_servers; ++s) {
     disks_.push_back(std::make_unique<sim::SimDisk>(world_, opts_.disk));
   }
-  wals_.resize(static_cast<size_t>(opts_.num_servers) * static_cast<size_t>(R));
+  wals_.resize(static_cast<size_t>(opts_.num_servers));
   hosts_.resize(static_cast<size_t>(opts_.num_servers));
   balancers_.resize(static_cast<size_t>(opts_.num_servers));
   snaps_.resize(static_cast<size_t>(opts_.num_servers) *
@@ -33,16 +31,9 @@ SimCluster::SimCluster(sim::SimWorld* world, SimClusterOptions opts)
   alive_.assign(static_cast<size_t>(opts_.num_servers), true);
   admins_.resize(static_cast<size_t>(opts_.num_servers));
   for (int s = 0; s < opts_.num_servers; ++s) {
-    for (int r = 0; r < R; ++r) {
-      // Reactor r's log holds its ceil((G - r) / R) groups; all reactors of
-      // a machine share its one disk, so contention is modeled — only the
-      // one-flush-in-flight-per-log serialization is gone.
-      uint32_t local_groups = (static_cast<uint32_t>(opts_.num_groups - r) +
-                               static_cast<uint32_t>(R) - 1) /
-                              static_cast<uint32_t>(R);
-      wals_[widx(s, r)] = std::make_unique<storage::SimWal>(
-          disks_[static_cast<size_t>(s)].get(), opts_.wal_retain, local_groups);
-    }
+    wals_[static_cast<size_t>(s)] = std::make_unique<storage::SimWal>(
+        disks_[static_cast<size_t>(s)].get(), opts_.wal_retain,
+        static_cast<uint32_t>(opts_.num_groups));
     for (int g = 0; g < opts_.num_groups; ++g) {
       snaps_[idx(s, g)] = std::make_unique<snapshot::SimSnapshotStore>(
           disks_[static_cast<size_t>(s)].get());
@@ -66,13 +57,11 @@ void SimCluster::build_host(int s, bool initial) {
       boot = [](uint32_t) { return true; };
     }
   }
-  std::vector<storage::MuxWal*> host_wals;
-  for (int r = 0; r < opts_.reactors; ++r) host_wals.push_back(wals_[widx(s, r)].get());
   auto& host = hosts_[static_cast<size_t>(s)];
   host = std::make_unique<node::NodeHost>(
       s, static_cast<uint32_t>(opts_.num_groups),
       [this](NodeId id) -> NodeContext* { return network_.node(id); },
-      std::move(host_wals),
+      wals_[static_cast<size_t>(s)].get(),
       [this, s](uint32_t g) -> snapshot::SnapshotStore* {
         return snaps_[idx(s, static_cast<int>(g))].get();
       },
@@ -105,23 +94,14 @@ void SimCluster::start_admin(int s) {
     r.body = host->status_snapshot();
     return r;
   });
-  // Stamped with each monitor's last probe sim time, not a live now():
+  // Stamped with the monitor's last probe sim time, not a live now():
   // reading the sim clock from the admin thread would race the sim thread,
-  // and halted sim time must not read as a stall anyway. Worst reactor wins,
-  // matching NodeHost::healthz_json's aggregate.
+  // and halted sim time must not read as a stall anyway.
   admin->route("/healthz", [host](const obs::AdminRequest&) {
     obs::AdminResponse r;
     r.content_type = "application/json";
-    std::string inner;
-    bool bad = false;
-    for (uint32_t rr = 0; rr < host->num_reactors(); ++rr) {
-      obs::HealthMonitor* h = host->health(rr);  // the host is started
-      if (h->stalled(h->last_probe_us())) bad = true;
-      if (rr > 0) inner += ",";
-      inner += h->healthz_json(h->last_probe_us());
-    }
-    r.body = "{\"server\":" + std::to_string(host->server_index()) + ",\"status\":\"" +
-             (bad ? "stalled" : "ok") + "\",\"reactors\":[" + inner + "]}";
+    obs::HealthMonitor* h = host->health();  // the host is started
+    r.body = h->healthz_json(h->last_probe_us());
     return r;
   });
   Status st = admin->start({});
@@ -172,8 +152,8 @@ void SimCluster::crash_server(int s) {
     snaps_[idx(s, g)]->drop_unflushed();  // in-flight snapshot saves gone
   }
   hosts_[static_cast<size_t>(s)].reset();  // volatile state gone (all groups)
-  // Power failure: un-synced records on every one of the machine's logs gone.
-  for (int r = 0; r < opts_.reactors; ++r) wals_[widx(s, r)]->drop_unflushed();
+  // Power failure: un-synced records on the machine's log gone.
+  wals_[static_cast<size_t>(s)]->drop_unflushed();
 }
 
 void SimCluster::restart_server(int s) {

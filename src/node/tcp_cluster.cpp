@@ -1,11 +1,9 @@
 #include "node/tcp_cluster.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
-#include <thread>
 
 #include "node/cluster_config.h"
 #include "util/logging.h"
@@ -38,18 +36,9 @@ Status TcpCluster::boot() {
   const int servers = opts_.num_servers;
   const uint32_t groups = opts_.num_groups;
 
-  // Resolve the reactor count: 0 = auto-scale to the machine, always clamped
-  // to [1, groups] (an empty reactor would have no endpoint to run on).
-  int R = opts_.reactors;
-  if (R <= 0) {
-    R = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  R = std::max(1, std::min(R, static_cast<int>(groups)));
-  reactors_ = R;
-
   RSP_RETURN_IF_ERROR(start_endpoints());
 
-  wals_.resize(static_cast<size_t>(servers * R));
+  wals_.resize(static_cast<size_t>(servers));
   snaps_.resize(static_cast<size_t>(servers));
   hosts_.resize(static_cast<size_t>(servers));
   for (int s = 0; s < servers; ++s) {
@@ -57,22 +46,10 @@ Status TcpCluster::boot() {
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) return Status::internal("mkdir " + dir.string() + ": " + ec.message());
-    std::vector<storage::MuxWal*> host_wals;
-    for (int r = 0; r < R; ++r) {
-      // Reactor 0 keeps the bare "wal" name so single-reactor data dirs
-      // reopen unchanged; reactor r's log holds its ceil((G - r) / R) groups.
-      std::string wal_name = r == 0 ? "wal" : "wal.r" + std::to_string(r);
-      uint32_t local_groups =
-          (groups - static_cast<uint32_t>(r) + static_cast<uint32_t>(R) - 1) /
-          static_cast<uint32_t>(R);
-      auto wal = storage::FileWal::open((dir / wal_name).string(),
-                                        opts_.wal_group_commit_window_us,
-                                        storage::FileWal::kDefaultSegmentBytes,
-                                        local_groups);
-      if (!wal.is_ok()) return wal.status();
-      wals_[static_cast<size_t>(s * R + r)] = std::move(wal).value();
-      host_wals.push_back(wals_[static_cast<size_t>(s * R + r)].get());
-    }
+    auto wal = storage::FileWal::open((dir / "wal").string(), opts_.wal_group_commit_window_us,
+                                      storage::FileWal::kDefaultSegmentBytes, groups);
+    if (!wal.is_ok()) return wal.status();
+    wals_[static_cast<size_t>(s)] = std::move(wal).value();
     auto snap = snapshot::GroupedSnapshotStore::open((dir / "snap").string(), groups);
     if (!snap.is_ok()) return snap.status();
     snaps_[static_cast<size_t>(s)] = std::move(snap).value();
@@ -84,7 +61,7 @@ Status TcpCluster::boot() {
     hopts.num_shards = opts_.num_shards;
     hosts_[static_cast<size_t>(s)] = std::make_unique<NodeHost>(
         s, groups, [this](NodeId id) -> NodeContext* { return endpoints_.at(id); },
-        std::move(host_wals),
+        wals_[static_cast<size_t>(s)].get(),
         [this, s](uint32_t g) -> snapshot::SnapshotStore* {
           return snaps_[static_cast<size_t>(s)]->group(g);
         },
@@ -99,15 +76,11 @@ Status TcpCluster::boot() {
         // Handler installation + Replica::start must run on the host's loop
         // thread: peers may deliver the instant the handler is visible.
         [](NodeContext* ctx, std::function<void()> fn) { ctx->set_timer(0, std::move(fn)); });
-    // Each reactor's watchdog samples the worst per-peer outbound queue of
-    // ITS loop each probe; group r is the first group on reactor r, so its
-    // endpoint sees that reactor's whole host.
-    for (int r = 0; r < R; ++r) {
-      net::TcpNode* epr = endpoints_.at(net::endpoint_id(s, r));
-      hosts_[static_cast<size_t>(s)]->set_queue_sampler(
-          static_cast<uint32_t>(r),
-          [epr] { return static_cast<int64_t>(epr->max_peer_queue_depth()); });
-    }
+    // The watchdog samples the worst per-peer outbound queue each probe;
+    // group 0's endpoint sees the whole host's queues.
+    net::TcpNode* ep0 = endpoints_.at(net::endpoint_id(s, 0));
+    hosts_[static_cast<size_t>(s)]->set_queue_sampler(
+        [ep0] { return static_cast<int64_t>(ep0->max_peer_queue_depth()); });
     hosts_[static_cast<size_t>(s)]->start();
   }
 
@@ -131,8 +104,7 @@ Status TcpCluster::boot() {
 
 Status TcpCluster::start_endpoints() {
   const int servers = opts_.num_servers;
-  const int R = reactors_;
-  const size_t num_ports = static_cast<size_t>(servers * R + opts_.num_clients);
+  const size_t num_ports = static_cast<size_t>(servers + opts_.num_clients);
   // free_ports() releases its reservations before start_node() binds them, so
   // another process can take a port in between. Every server endpoint binds
   // here, before any WAL or host exists, so a raced port (kUnavailable) is
@@ -146,23 +118,20 @@ Status TcpCluster::start_endpoints() {
     if (ports.size() != num_ports) {
       return Status::unavailable("tcp cluster: could not reserve listen ports");
     }
-    // One listen address per *host* = per reactor: server s's reactor r is
-    // host s*R + r (its group endpoints collapse onto it via the
-    // reactor-aware HostMap{kGroupStride, R}); each client id is its own host.
+    // One listen address per *host*: server s is host s (its group
+    // endpoints collapse onto it via HostMap{kGroupStride}); each client id
+    // is its own host.
     std::map<net::HostId, net::PeerAddr> addrs;
     for (int s = 0; s < servers; ++s) {
-      for (int r = 0; r < R; ++r) {
-        addrs[static_cast<net::HostId>(s * R + r)] =
-            net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(s * R + r)]};
-      }
+      addrs[static_cast<net::HostId>(s)] =
+          net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(s)]};
     }
     for (int c = 0; c < opts_.num_clients; ++c) {
       addrs[net::kClientBase + static_cast<NodeId>(c)] =
-          net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(servers * R + c)]};
+          net::PeerAddr{"127.0.0.1", ports[static_cast<size_t>(servers + c)]};
     }
-    net::HostMap hmap{net::kGroupStride};
-    hmap.reactors = static_cast<NodeId>(R);
-    transport_ = std::make_unique<net::TcpTransport>(std::move(addrs), hmap);
+    transport_ = std::make_unique<net::TcpTransport>(std::move(addrs),
+                                                     net::HostMap{net::kGroupStride});
 
     st = Status::ok();
     for (int s = 0; s < servers && st.is_ok(); ++s) {
@@ -197,28 +166,19 @@ Status TcpCluster::start_admin(int s) {
     return r;
   });
 
-  // /status wants a fresh document, but each reactor's replica state may
-  // only be read on that reactor's loop. Post a board refresh to every
-  // reactor and wait briefly; a reactor too wedged to answer keeps its last
-  // watchdog-published slice — a stalled host must still describe itself.
-  std::vector<net::TcpNode*> reps;
-  for (uint32_t r = 0; r < host->num_reactors(); ++r) {
-    reps.push_back(endpoints_.at(net::endpoint_id(s, static_cast<int>(r))));
-  }
-  admin->route("/status", [host, reps](const obs::AdminRequest&) {
-    std::vector<std::shared_ptr<std::promise<void>>> ps;
-    std::vector<std::future<void>> futs;
-    for (uint32_t r = 0; r < reps.size(); ++r) {
-      auto p = std::make_shared<std::promise<void>>();
-      futs.push_back(p->get_future());
-      reps[r]->loop().post([host, r, p] {
-        host->refresh_board(r);
-        p->set_value();
-      });
-      ps.push_back(std::move(p));
-    }
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
-    for (auto& f : futs) f.wait_until(deadline);
+  // /status wants a fresh document, but replica state may only be read on
+  // the host's loop. Post a board refresh and wait briefly; a loop too
+  // wedged to answer leaves the last watchdog-published board — a stalled
+  // host must still describe itself.
+  net::TcpNode* ep0 = endpoints_.at(net::endpoint_id(s, 0));
+  admin->route("/status", [host, ep0](const obs::AdminRequest&) {
+    auto p = std::make_shared<std::promise<void>>();
+    auto fut = p->get_future();
+    ep0->loop().post([host, p] {
+      host->refresh_board();
+      p->set_value();
+    });
+    fut.wait_for(std::chrono::milliseconds(250));
     obs::AdminResponse r;
     r.content_type = "application/json";
     r.body = host->status_snapshot();
@@ -244,7 +204,7 @@ TcpCluster::~TcpCluster() {
   for (auto& a : admins_) {
     if (a) a->stop();
   }
-  // Balancer ticks run on reactor-0 loops and touch host state; quiesce them
+  // Balancer ticks run on the server loops and touch host state; quiesce them
   // while the loops are still alive (a late-firing timer sees the dead flag).
   for (auto& b : balancers_) {
     if (b) b->stop();

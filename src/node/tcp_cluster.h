@@ -1,22 +1,15 @@
 // Real-TCP multi-group cluster assembly: the NodeHost counterpart of
 // SimCluster for the §5 substrate.
 //
-// Each of the `num_servers` machines runs `reactors` reactors; each reactor
-// gets its OWN listen port + loop thread (TcpHost via the reactor-aware
-// HostMap{kGroupStride, reactors}), its own fsync'ing FileWal (multiplexed
-// across its groups) and its own health watchdog. Group g of every server is
-// statically placed on reactor g % reactors, so a frame addressed to an
-// endpoint lands directly on the loop that owns the replica — no cross-core
-// handoff. The snapshot root (GroupedSnapshotStore) stays per-server. With
-// reactors == 1 (the default) this is the historical single-loop machine.
-// Client endpoints are separate hosts with their own ports, matching the
-// routing contract (ids >= kClientBase never stride).
+// Each of the `num_servers` machines is one TcpHost (one listen port and one
+// loop thread, via HostMap{kGroupStride}) serving every group, one fsync'ing
+// FileWal multiplexed across those groups, one health watchdog and one
+// snapshot root (GroupedSnapshotStore). Client endpoints are separate hosts
+// with their own ports, matching the routing contract (ids >= kClientBase
+// never stride).
 //
-// Durable state lives under `<data_dir>/s<k>/` (reactor r > 0 appends `.r<r>`
-// to the WAL file name); reopening the same directory with the SAME reactor
-// count restarts the cluster from its WALs and snapshots. Changing the
-// reactor count over existing data re-partitions groups across logs and is
-// not supported.
+// Durable state lives under `<data_dir>/s<k>/` (`wal`, `snap`); reopening the
+// same directory restarts the cluster from its WALs and snapshots.
 #pragma once
 
 #include <map>
@@ -40,9 +33,6 @@ struct TcpClusterOptions {
   /// Key-space shards for elastic resharding. 0 = num_groups (the historical
   /// one-shard-per-group contract as epoch 0 of a live routing table).
   uint32_t num_shards = 0;
-  /// Reactors (event loop + socket + WAL + watchdog) per server. 0 = auto:
-  /// min(num_groups, hardware cores). Always clamped to [1, num_groups].
-  int reactors = 1;
   /// true: RS-Paxos with QR=QW=N-f, X=N-2f; false: classic majority Paxos.
   bool rs_mode = true;
   int f = 1;  // target fault tolerance for rs_mode
@@ -87,8 +77,6 @@ class TcpCluster {
   TcpCluster& operator=(const TcpCluster&) = delete;
 
   const TcpClusterOptions& options() const { return opts_; }
-  /// Resolved reactor count (after the 0 = auto rule), fixed at boot.
-  int reactors() const { return reactors_; }
   NodeHost& host(int s) { return *hosts_[static_cast<size_t>(s)]; }
   Balancer* balancer(int s) {
     size_t i = static_cast<size_t>(s);
@@ -96,10 +84,8 @@ class TcpCluster {
   }
   kv::KvServer* server(int s, uint32_t g) { return hosts_[static_cast<size_t>(s)]->server(g); }
   net::TcpNode* endpoint(int s, uint32_t g);
-  /// Reactor r's multiplexed log on server s (its groups share the flushes).
-  storage::FileWal& wal(int s, int r = 0) {
-    return *wals_[static_cast<size_t>(s * reactors_ + r)];
-  }
+  /// Server s's multiplexed log (its groups share the flushes).
+  storage::FileWal& wal(int s) { return *wals_[static_cast<size_t>(s)]; }
   /// The server's one snapshot root (per-group slots inside).
   snapshot::GroupedSnapshotStore& snap_store(int s) {
     return *snaps_[static_cast<size_t>(s)];
@@ -133,9 +119,8 @@ class TcpCluster {
   Status start_admin(int s);
 
   TcpClusterOptions opts_;
-  int reactors_ = 1;  // resolved from opts_.reactors at boot
   std::unique_ptr<net::TcpTransport> transport_;
-  std::vector<std::unique_ptr<storage::FileWal>> wals_;  // [s * reactors_ + r]
+  std::vector<std::unique_ptr<storage::FileWal>> wals_;                 // per server
   std::vector<std::unique_ptr<snapshot::GroupedSnapshotStore>> snaps_;  // per server
   std::vector<std::unique_ptr<NodeHost>> hosts_;                        // per server
   std::vector<std::unique_ptr<Balancer>> balancers_;                    // per server

@@ -54,34 +54,32 @@ void SlidingHistogram::clear() {
 // ---------------------------------------------------------------------------
 // HealthMonitor
 
-HealthMonitor::HealthMonitor(uint32_t server, HealthOptions opts, uint32_t reactor)
+HealthMonitor::HealthMonitor(uint32_t server, HealthOptions opts)
     : server_(server),
-      reactor_(reactor),
       opts_(opts),
       loop_lag_(static_cast<int64_t>(kWindow)),
       fsync_(static_cast<int64_t>(kWindow)),
       queue_depth_(static_cast<int64_t>(kWindow)) {
   auto& reg = MetricsRegistry::global();
   std::string s = std::to_string(server_);
-  std::string r = std::to_string(reactor_);
   lag_p99_gauge_ = &reg.gauge_family("rsp_health_loop_lag_p99_us",
                                      "Event-loop lag p99 over the sliding window",
-                                     {"server", "reactor"})
-                        .with({s, r});
+                                     {"server"})
+                        .with({s});
   fsync_p99_gauge_ = &reg.gauge_family("rsp_health_fsync_p99_us",
                                        "WAL fsync latency p99 over the sliding window",
-                                       {"server", "reactor"})
-                          .with({s, r});
+                                       {"server"})
+                          .with({s});
   stalled_gauge_ = &reg.gauge_family("rsp_health_stalled",
-                                     "1 while the reactor's event loop is stalled",
-                                     {"server", "reactor"})
-                        .with({s, r});
+                                     "1 while the host's event loop is stalled",
+                                     {"server"})
+                        .with({s});
   overloaded_gauge_ =
       &reg.gauge_family("rsp_health_overloaded",
                         "1 while a watermark (loop lag / fsync p99) is tripped "
                         "and admission control sheds load",
-                        {"server", "reactor"})
-           .with({s, r});
+                        {"server"})
+           .with({s});
 }
 
 int64_t HealthMonitor::wall_now_us() {
@@ -173,7 +171,6 @@ std::string HealthMonitor::healthz_json(int64_t now_us) const {
   bool bad = stalled(now_us);
   std::string out = "{";
   out += "\"server\":" + std::to_string(server_);
-  out += ",\"reactor\":" + std::to_string(reactor_);
   out += ",\"status\":\"" + std::string(bad ? "stalled" : "ok") + "\"";
   out += ",\"now_us\":" + std::to_string(now_us);
   out += ",\"last_probe_us\":" + std::to_string(last_probe_node_us_.load());

@@ -74,10 +74,7 @@ class HealthMonitor {
   /// probe_interval + this — flips the host to "stalled".
   static constexpr DurationMicros kStallThreshold = 1 * kSeconds;
 
-  /// One monitor per reactor: `reactor` lands in every gauge's labels and in
-  /// healthz_json, so a wedged reactor is attributable even though the other
-  /// reactors on the machine keep answering.
-  HealthMonitor(uint32_t server, HealthOptions opts = {}, uint32_t reactor = 0);
+  explicit HealthMonitor(uint32_t server, HealthOptions opts = {});
 
   /// Runs after every probe on the loop thread (NodeHost publishes its
   /// status snapshot here). Set before start().
@@ -118,7 +115,6 @@ class HealthMonitor {
   void probe();
 
   uint32_t server_;
-  uint32_t reactor_;
   HealthOptions opts_;
   NodeContext* ctx_ = nullptr;
   std::mutex timer_mu_;  // serializes whole probe bodies against stop()

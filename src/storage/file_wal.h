@@ -141,7 +141,7 @@ class FileWal final : public MuxWal {
   uint32_t num_groups_;
 
   // Flusher-thread private (atomics where other threads read diagnostics).
-  // The WAL owns a *dedicated* IoDriver rather than sharing the reactor's:
+  // The WAL owns a *dedicated* IoDriver rather than sharing the loop's:
   // on the uring backend a shared ring would need cross-thread submission
   // locking, and the flusher's WRITEV→FSYNC chains must never contend with
   // socket poll traffic. See DESIGN.md §12.

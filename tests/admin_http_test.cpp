@@ -113,9 +113,6 @@ struct ClusterFixture {
     opts.num_servers = kServers;
     opts.num_groups = kGroups;
     opts.num_shards = num_shards;
-    // Two reactors (one group each): scrapes must compose per-reactor boards
-    // and aggregate worst-reactor health, not just read one loop's state.
-    opts.reactors = 2;
     opts.f = 1;
     opts.rs_mode = false;  // 3 servers: classic majority quorums
     opts.data_dir = dir.string();
@@ -186,9 +183,8 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
     EXPECT_EQ(h.status, 200) << "server " << s << ": " << h.raw;
     EXPECT_NE(h.body.find("\"status\":\"ok\""), std::string::npos) << h.body;
     EXPECT_NE(h.body.find("\"loop_lag_us\""), std::string::npos) << h.body;
-    // Worst-reactor aggregate: the document carries one entry per reactor.
-    EXPECT_NE(h.body.find("\"reactors\":["), std::string::npos) << h.body;
-    EXPECT_NE(h.body.find("\"reactor\":1"), std::string::npos) << h.body;
+    EXPECT_NE(h.body.find("\"server\":" + std::to_string(s)), std::string::npos) << h.body;
+    EXPECT_EQ(h.body.find("reactor"), std::string::npos) << h.body;
   }
 
   // Commit indices advance between scrapes as puts land in both groups.
@@ -212,11 +208,12 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(after.body.find("\"wal\":{"), std::string::npos);
   EXPECT_NE(after.body.find("\"bytes_flushed\":"), std::string::npos);
   EXPECT_NE(after.body.find("\"resident_share_bytes\":"), std::string::npos) << after.body;
-  // Reactor surface: count, backend, static placement, per-reactor WALs.
-  EXPECT_NE(after.body.find("\"reactors\":2"), std::string::npos) << after.body;
+  // One machine log and one loop: no per-reactor members.
   EXPECT_NE(after.body.find("\"io_backend\":\""), std::string::npos) << after.body;
-  EXPECT_NE(after.body.find("\"placement\":[0,1]"), std::string::npos) << after.body;
-  EXPECT_NE(after.body.find("\"wals\":["), std::string::npos) << after.body;
+  EXPECT_NE(after.body.find("\"active_segment\":"), std::string::npos) << after.body;
+  EXPECT_EQ(after.body.find("reactor"), std::string::npos) << after.body;
+  EXPECT_EQ(after.body.find("\"placement\""), std::string::npos) << after.body;
+  EXPECT_EQ(after.body.find("\"wals\""), std::string::npos) << after.body;
 
   // /metrics: Prometheus exposition with per-group labels from one shared
   // process-wide registry.
@@ -227,9 +224,9 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(m.body.find("group=\"0\""), std::string::npos);
   EXPECT_NE(m.body.find("group=\"1\""), std::string::npos);
   EXPECT_NE(m.body.find("rsp_log_resident_share_bytes{"), std::string::npos);
-  // Health + admission series are per-reactor now.
-  EXPECT_NE(m.body.find("reactor=\"0\""), std::string::npos);
-  EXPECT_NE(m.body.find("reactor=\"1\""), std::string::npos);
+  // Health series are per server; no series carries a reactor label.
+  EXPECT_NE(m.body.find("rsp_health_stalled{server=\"2\"}"), std::string::npos);
+  EXPECT_EQ(m.body.find("reactor="), std::string::npos);
 
   // /traces/recent: JSON document (possibly empty list).
   HttpReply t = http_get(port0, "/traces/recent");

@@ -317,9 +317,9 @@ TEST(EcPolicy, CodeIdRoundTrip) {
   EXPECT_FALSE(ec::parse_code_id("xor").has_value());
 }
 
-// The reactor threads of a multi-reactor host (TcpClusterOptions::reactors
-// > 1) hit RsCodeCache::get / PolicyCache::get concurrently while encoding
-// and decoding. Run under TSan via the tsan preset.
+// The loop threads of the servers one process hosts (a TcpCluster) hit
+// RsCodeCache::get / PolicyCache::get concurrently while encoding and
+// decoding. Run under TSan via the tsan preset.
 TEST(EcPolicy, CachesAreThreadSafe) {
   constexpr int kThreads = 8;
   constexpr int kIters = 200;

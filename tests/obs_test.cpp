@@ -171,31 +171,28 @@ TEST(Metrics, HelpTextIsEscaped) {
       << prom;
 }
 
-TEST(Metrics, HealthAndAdmissionSeriesCarryReactorLabel) {
-  // A 2-reactor host registers its health gauges once per reactor and its
-  // admission series once per group, each stamped with the owning reactor —
-  // group 1 lives on reactor 1 under the g % R placement.
+TEST(Metrics, HealthSeriesArePerServerAndAdmissionSeriesPerGroup) {
+  // A machine is one loop: its health gauges are registered once, labeled by
+  // server alone, and its admission series once per group.
   sim::SimWorld world(7);
   kv::SimClusterOptions opts;
   opts.num_groups = 2;
-  opts.reactors = 2;
   kv::SimCluster cluster(&world, opts);
   cluster.wait_for_leaders();
   std::string prom = MetricsRegistry::global().to_prometheus();
-  EXPECT_NE(prom.find("rsp_health_loop_lag_p99_us{server=\"0\",reactor=\"0\"}"),
-            std::string::npos)
+  EXPECT_NE(prom.find("rsp_health_loop_lag_p99_us{server=\"0\"}"), std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("rsp_health_loop_lag_p99_us{server=\"0\",reactor=\"1\"}"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("rsp_health_stalled{server=\"0\",reactor=\"1\"}"),
-            std::string::npos)
-      << prom;
-  // Admission series: {node, group, reactor}; group 1 -> reactor 1.
+  EXPECT_NE(prom.find("rsp_health_stalled{server=\"4\"}"), std::string::npos) << prom;
+  EXPECT_EQ(prom.find("reactor="), std::string::npos) << prom;
+  // Admission series: {node, group}.
   size_t fam = prom.find("# TYPE rsp_admission_inflight gauge");
   ASSERT_NE(fam, std::string::npos) << prom;
-  EXPECT_NE(prom.find("group=\"1\",reactor=\"1\"", fam), std::string::npos) << prom;
-  EXPECT_NE(prom.find("group=\"0\",reactor=\"0\"", fam), std::string::npos) << prom;
+  EXPECT_NE(prom.find("rsp_admission_inflight{node=\"1\",group=\"1\"}", fam),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("rsp_admission_inflight{node=\"0\",group=\"0\"}", fam),
+            std::string::npos)
+      << prom;
 }
 
 TEST(Metrics, HistogramMergeFoldsExternalWindow) {

@@ -2,7 +2,7 @@
 // two Paxos groups on a TcpCluster (real sockets, fsync'ing WALs) while a
 // client keeps writing into the moving shard. Pins the cross-thread half of
 // the design: the RoutingView published from the meta group's apply path on
-// one loop is read by every other reactor and by the client-facing check
+// one loop is read by every other loop and by the client-facing check
 // order, and the chunk protocol runs leader-loop to leader-loop.
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -287,53 +287,6 @@ TEST_P(WalConformance, FlushesAmortizedAcrossGroups) {
   }
 }
 
-TEST_P(WalConformance, PerReactorAccountingIdentityAcrossSplitLogs) {
-  // Multi-reactor hosts split the machine log into one MuxWal per reactor
-  // (placement: global group g -> reactor g % R, local index g / R). Model
-  // that shape with two independent logs and check the accounting identity
-  // each reactor must satisfy on its own: every byte the device flushed is
-  // attributed to exactly one of the reactor's groups, and one reactor's
-  // counters never move with the other's traffic.
-  auto other = GetParam()();  // reactor 1's log; h_ plays reactor 0
-  WalHarness* reactor[2] = {h_.get(), other.get()};
-  constexpr uint32_t kGlobal = 2 * kGroups;
-  constexpr size_t kRecBytes = 128;
-  size_t per_group[kGlobal] = {};
-  for (int round = 0; round < 3; ++round) {
-    for (uint32_t g = 0; g < kGlobal; ++g) {
-      if ((g / 2 + static_cast<uint32_t>(round)) % 2 == 0) continue;  // uneven load
-      reactor[g % 2]->append(g / 2, Bytes(kRecBytes, static_cast<uint8_t>(g)));
-      per_group[g]++;
-    }
-  }
-  uint64_t r0_before_bytes = 0;  // reactor 0's counters, pre-cross-check
-  reactor[0]->drive();
-  reactor[1]->drive();
-  for (int r = 0; r < 2; ++r) {
-    uint64_t group_sum = 0;
-    uint64_t payload_sum = 0;
-    for (uint32_t lg = 0; lg < kGroups; ++lg) {
-      group_sum += reactor[r]->mux().group_bytes_flushed(lg);
-      payload_sum += per_group[2 * lg + static_cast<uint32_t>(r)] * kRecBytes;
-    }
-    // Per-group attribution covers at least every record's payload and sums
-    // to no more than the device total (framing may only add, never lose).
-    EXPECT_GE(group_sum, payload_sum) << "reactor " << r;
-    EXPECT_LE(group_sum, reactor[r]->mux().bytes_flushed()) << "reactor " << r;
-    EXPECT_GT(reactor[r]->mux().flush_ops(), 0u) << "reactor " << r;
-    if (r == 0) r0_before_bytes = reactor[0]->mux().bytes_flushed();
-  }
-  // Isolation: traffic on reactor 1 must not move reactor 0's counters.
-  reactor[1]->append(0, Bytes(kRecBytes, 0x7e));  // global group 1
-  per_group[1]++;
-  reactor[1]->drive();
-  EXPECT_EQ(reactor[0]->mux().bytes_flushed(), r0_before_bytes);
-  // Each reactor's replay sees exactly its own groups' records.
-  for (uint32_t g = 0; g < kGlobal; ++g) {
-    EXPECT_EQ(reactor[g % 2]->replayed(g / 2).size(), per_group[g]) << "group " << g;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Backends, WalConformance,
     ::testing::Values(HarnessFactory([]() -> std::unique_ptr<WalHarness> {
