@@ -10,6 +10,20 @@
 #include "consensus/replica_internal.h"
 
 namespace rspaxos::consensus {
+namespace {
+
+/// An accept frame for share `idx` of `tmpl` with a `share_size`-byte gap
+/// the encoder fills in place; `*gap` points at it.
+Bytes accept_frame(AcceptMsg& tmpl, int idx, size_t share_size, uint8_t** gap) {
+  tmpl.share.share_idx = static_cast<uint32_t>(idx);
+  Writer w;
+  size_t off = encode_accept_frame(w, tmpl, share_size);
+  Bytes frame = w.take();
+  *gap = frame.data() + off;
+  return frame;
+}
+
+}  // namespace
 
 Replica::Replica(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg, ReplicaOptions opts)
     : ctx_(ctx), wal_(wal), cfg_(std::move(cfg)), opts_(opts) {
@@ -18,7 +32,10 @@ Replica::Replica(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg, ReplicaOp
   init_metrics();
 }
 
-Replica::~Replica() { add_resident_bytes(-static_cast<int64_t>(resident_share_bytes_)); }
+Replica::~Replica() {
+  add_resident_bytes(-static_cast<int64_t>(resident_share_bytes_));
+  m_.suspected_peers->add(-suspected_count_);
+}
 
 void Replica::init_metrics() {
   auto& reg = obs::MetricsRegistry::global();
@@ -31,6 +48,8 @@ void Replica::init_metrics() {
   m_.proposals = counter("rsp_consensus_proposals_total", "Values proposed by this node");
   m_.commits = counter("rsp_consensus_commits_total", "Slots this node decided as leader");
   m_.accepts_sent = counter("rsp_consensus_accepts_sent_total", "Phase-2a messages sent");
+  m_.accepts_skipped = counter("rsp_consensus_accepts_skipped_total",
+                               "Phase-2a messages not sent to suspected followers");
   m_.elections_started =
       counter("rsp_consensus_elections_started_total", "Campaigns begun by this node");
   m_.times_elected = counter("rsp_consensus_times_elected_total", "Campaigns won");
@@ -64,6 +83,11 @@ void Replica::init_metrics() {
       &reg.gauge_family("rsp_log_resident_share_bytes",
                         "Share bytes the log holds in memory", {"node", "group"})
            .with({node, group});
+  m_.suspected_peers =
+      &reg.gauge_family("rsp_consensus_suspected_peers",
+                        "Followers the leader suspects (silent for election_timeout_max)",
+                        {"node", "group"})
+           .with({node, group});
   m_.snapshot_duration_us =
       histogram("rsp_snapshot_duration_us", "Checkpoint build+encode+save latency");
 }
@@ -83,6 +107,7 @@ ReplicaStats Replica::stats() const {
   s.shares_evicted = m_.shares_evicted.value();
   s.share_readbacks = m_.share_readbacks.value();
   s.repair_bytes = m_.repair_bytes.value();
+  s.accepts_skipped = m_.accepts_skipped.value();
   return s;
 }
 
@@ -156,6 +181,7 @@ void Replica::arm_heartbeat_timer() {
     heartbeat_timer_ = 0;
     if (role_ != Role::kLeader) return;
     send_heartbeat();
+    update_suspected_gauge();
     retransmit_pending();
     offer_snapshots();  // paced internally; no-op without a pending checkpoint
     arm_heartbeat_timer();
@@ -165,6 +191,40 @@ void Replica::arm_heartbeat_timer() {
 NodeId Replica::leader_hint() const {
   if (role_ == Role::kLeader) return ctx_->id();
   return leader_;
+}
+
+bool Replica::suspected(NodeId m) const {
+  if (role_ != Role::kLeader || m == ctx_->id()) return false;
+  TimeMicros heard = leader_since_;
+  auto it = last_heard_.find(m);
+  if (it != last_heard_.end()) heard = std::max(heard, it->second);
+  return ctx_->now() - heard >= opts_.election_timeout_max;
+}
+
+std::vector<bool> Replica::skippable() const {
+  std::vector<bool> skip(cfg_.members.size(), false);
+  int live = 0;
+  for (size_t i = 0; i < skip.size(); ++i) {
+    skip[i] = suspected(cfg_.members[i]);
+    live += skip[i] ? 0 : 1;
+  }
+  // Below QW the group cannot commit without a suspect: ask everyone.
+  if (live < cfg_.qw) skip.assign(skip.size(), false);
+  return skip;
+}
+
+std::vector<NodeId> Replica::suspected_peers() const {
+  std::vector<NodeId> out;
+  for (NodeId m : cfg_.members) {
+    if (suspected(m)) out.push_back(m);
+  }
+  return out;
+}
+
+void Replica::update_suspected_gauge() {
+  int64_t count = static_cast<int64_t>(suspected_peers().size());
+  m_.suspected_peers->add(count - suspected_count_);
+  suspected_count_ = count;
 }
 
 bool Replica::lease_valid() const {
@@ -245,6 +305,7 @@ void Replica::become_leader() {
     election_timer_ = 0;
   }
   last_ack_time_.clear();
+  leader_since_ = ctx_->now();
 
   // Merge per-slot accepted state from the read quorum, then re-propose:
   // bound values keep their identity; holes become NOOPs (§3.2 1c).
@@ -318,6 +379,7 @@ void Replica::become_follower(Ballot seen, NodeId leader) {
     pending_.clear();
     inflight_.clear();  // abandoned traces age out of the tracer's active set
   }
+  update_suspected_gauge();  // a follower suspects no one
   arm_election_timer();
   if (was_leader && on_role_change_) on_role_change_(false);
 }
@@ -407,8 +469,10 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // per-share staging copy; once encoded, the frames are shared buffers that
   // every send and retransmit references (their piggybacked commit_index
   // stays as of propose time, which is harmless: the watermark also rides
-  // every heartbeat).
-  AcceptMsg meta;
+  // every heartbeat). A suspected follower gets no frame and no share: the
+  // other members make QW without it (DESIGN.md §17).
+  PendingProposal p;
+  AcceptMsg& meta = p.accept;
   meta.epoch = cfg_.epoch;
   meta.ballot = ballot_;
   meta.slot = slot;
@@ -418,34 +482,29 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   meta.share.x = static_cast<uint32_t>(cfg_.x);
   meta.share.n = static_cast<uint32_t>(n);
   meta.share.value_len = payload.size();
-  meta.share.header = header;
+  meta.share.header = std::move(header);
   meta.commit_index = commit_index_;
   meta.trace_id = commit_span.trace_id;
+  const std::vector<bool> skip = skippable();
   obs::SpanContext encode_span = tracer.start_span(
       commit_span, "ec_encode", ctx_->id(), static_cast<int64_t>(ctx_->now()));
   std::vector<Bytes> frames(static_cast<size_t>(n));
   Bytes my_share(meta.share.full_copy() ? 0 : ss);
   std::vector<uint8_t*> dsts(static_cast<size_t>(n), nullptr);
   for (int idx = 0; idx < n; ++idx) {
+    size_t i = static_cast<size_t>(idx);
     if (idx == my_idx) {
-      if (!meta.share.full_copy()) dsts[static_cast<size_t>(idx)] = my_share.data();
-      continue;
+      if (!meta.share.full_copy()) dsts[i] = my_share.data();
+    } else if (skip[i]) {
+      m_.accepts_skipped.inc();
+    } else {
+      frames[i] = accept_frame(meta, idx, ss, &dsts[i]);
     }
-    meta.share.share_idx = static_cast<uint32_t>(idx);
-    Writer w;
-    size_t gap = encode_accept_frame(w, meta, ss);
-    frames[static_cast<size_t>(idx)] = w.take();
-    dsts[static_cast<size_t>(idx)] = frames[static_cast<size_t>(idx)].data() + gap;
   }
 
   code.encode_into(payload, dsts.data());
   tracer.end_span(encode_span, static_cast<int64_t>(ctx_->now()));
 
-  PendingProposal p;
-  p.vid = vid;
-  p.kind = kind;
-  p.header = std::move(header);
-  p.value_len = payload.size();
   p.cb = std::move(cb);
   p.last_sent = proposed_at;
   p.commit_span = commit_span;
@@ -465,8 +524,8 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   share.share_idx = static_cast<uint32_t>(my_idx);
   share.x = static_cast<uint32_t>(cfg_.x);
   share.n = static_cast<uint32_t>(n);
-  share.value_len = p.value_len;
-  share.header = p.header;
+  share.value_len = meta.share.value_len;
+  share.header = meta.share.header;
   LogEntry& e = log_[slot];
   e.accepted = ballot_;
   e.committed = false;
@@ -490,14 +549,11 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // our own share is durable (same rule as every acceptor). Each follower
   // gets its own "net_accept:<id>" span, opened here and closed by the
   // receiving acceptor (the tracer joins the two halves when it is read).
-  for (NodeId m : cfg_.members) {
-    if (m == ctx_->id()) continue;
-    int midx = cfg_.index_of(m);
-    if (midx >= 0 && static_cast<size_t>(midx) < pp.net_spans.size()) {
-      pp.net_spans[static_cast<size_t>(midx)] =
-          tracer.start_span(commit_span, {"net_accept", m}, ctx_->id(),
-                            static_cast<int64_t>(ctx_->now()));
-    }
+  for (int idx = 0; idx < n; ++idx) {
+    if (pp.frames[static_cast<size_t>(idx)].empty()) continue;  // self, or suspected
+    NodeId m = cfg_.members[static_cast<size_t>(idx)];
+    pp.net_spans[static_cast<size_t>(idx)] = tracer.start_span(
+        commit_span, {"net_accept", m}, ctx_->id(), static_cast<int64_t>(ctx_->now()));
     send_accept_to(m, pp);
   }
   Inflight inf;
@@ -517,14 +573,28 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   });
 }
 
-void Replica::send_accept_to(NodeId member, const PendingProposal& p) {
+void Replica::send_accept_to(NodeId member, PendingProposal& p) {
   int idx = cfg_.index_of(member);
   // Members beyond the frame set (joined in a newer view than this proposal)
   // get nothing: the proposal's coding geometry predates them, and catch-up
   // re-codes committed entries for the new view.
-  if (idx < 0 || static_cast<size_t>(idx) >= p.frames.size() ||
-      p.frames[static_cast<size_t>(idx)].empty()) {
-    return;
+  if (idx < 0 || static_cast<size_t>(idx) >= p.frames.size()) return;
+  SharedBytes& frame = p.frames[static_cast<size_t>(idx)];
+  if (frame.empty()) {
+    // Skipped as suspected at propose time: code its share now from the
+    // value the leader caches for every pending slot.
+    auto lit = log_.find(p.accept.slot);
+    const SharedBytes* value = lit != log_.end() && lit->second.share.vid == p.accept.share.vid
+                                   ? lit->second.full_payload()
+                                   : nullptr;
+    if (value == nullptr) return;
+    const ec::EcPolicy& code = ec::PolicyCache::get(
+        p.accept.share.code, static_cast<int>(p.accept.share.x), static_cast<int>(p.frames.size()));
+    std::vector<uint8_t*> dsts(p.frames.size(), nullptr);
+    Bytes f = accept_frame(p.accept, idx, code.share_size(value->size()),
+                           &dsts[static_cast<size_t>(idx)]);
+    code.encode_into(*value, dsts.data());
+    frame = SharedBytes(std::move(f));
   }
   m_.accepts_sent.inc();
   // The accept travels inside its per-acceptor network span: the transport
@@ -533,7 +603,7 @@ void Replica::send_accept_to(NodeId member, const PendingProposal& p) {
   obs::SpanScope scope(static_cast<size_t>(idx) < p.net_spans.size()
                            ? p.net_spans[static_cast<size_t>(idx)]
                            : obs::SpanContext{});
-  ctx_->send(member, MsgType::kAccept, p.frames[static_cast<size_t>(idx)]);
+  ctx_->send(member, MsgType::kAccept, frame);
 }
 
 void Replica::on_accepted(NodeId from, AcceptedMsg msg) {
@@ -555,7 +625,7 @@ void Replica::handle_commit_of(Slot slot) {
   auto it = pending_.find(slot);
   if (it == pending_.end()) return;
   ProposeFn cb = std::move(it->second.cb);
-  ValueId vid = it->second.vid;
+  ValueId vid = it->second.accept.share.vid;
   pending_.erase(it);
 
   auto iit = inflight_.find(slot);
@@ -584,12 +654,22 @@ void Replica::handle_commit_of(Slot slot) {
 
 void Replica::retransmit_pending() {
   TimeMicros now = ctx_->now();
+  const std::vector<bool> skip = skippable();
   for (auto& [slot, p] : pending_) {
     if (now - p.last_sent < opts_.retransmit_interval) continue;
     p.last_sent = now;  // pace re-sends: one per interval, not per heartbeat
-    for (NodeId m : cfg_.members) {
-      if (m != ctx_->id() && !p.acks.count(m)) send_accept_to(m, p);
+    // The first retransmit still routes around suspects; a proposal that
+    // is still uncommitted an interval later asks every member.
+    for (size_t i = 0; i < cfg_.members.size(); ++i) {
+      NodeId m = cfg_.members[i];
+      if (m == ctx_->id() || p.acks.count(m)) continue;
+      if (!p.widened && skip[i]) {
+        m_.accepts_skipped.inc();
+        continue;
+      }
+      send_accept_to(m, p);
     }
+    p.widened = true;
   }
 }
 
@@ -847,6 +927,7 @@ void Replica::apply_config_entry(const LogEntry& e, Slot slot) {
     role_ = Role::kFollower;
     if (heartbeat_timer_ != 0) ctx_->cancel_timer(heartbeat_timer_);
     if (election_timer_ != 0) ctx_->cancel_timer(election_timer_);
+    update_suspected_gauge();
   }
   if (on_config_change_) on_config_change_(old_cfg, cfg_, action);
 }
@@ -1046,6 +1127,8 @@ void Replica::add_resident_bytes(int64_t delta) {
 // ---------------------------------------------------------------------------
 
 void Replica::on_message(NodeId from, MsgType type, BytesView payload) {
+  // Any message proves its sender alive and clears its suspicion.
+  if (role_ == Role::kLeader) last_heard_[from] = ctx_->now();
   switch (type) {
     case MsgType::kPrepare: {
       auto m = PrepareMsg::decode(payload);

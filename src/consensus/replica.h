@@ -108,6 +108,7 @@ struct ReplicaStats {
   uint64_t shares_evicted = 0;     // log-entry shares dropped behind the horizon
   uint64_t share_readbacks = 0;    // evicted shares read back from the WAL
   uint64_t repair_bytes = 0;       // share bytes fetched from peers for repairs
+  uint64_t accepts_skipped = 0;    // accepts not sent to suspected followers
 };
 
 class Replica final : public MessageHandler {
@@ -191,6 +192,9 @@ class Replica final : public MessageHandler {
   bool lease_valid() const;
   Slot commit_index() const { return commit_index_; }
   Slot last_applied() const { return applied_index_; }
+  /// Leader: the followers it currently suspects (see suspected()); empty
+  /// on any other role.
+  std::vector<NodeId> suspected_peers() const;
   const GroupConfig& config() const { return cfg_; }
   ReplicaStats stats() const;
   Ballot current_ballot() const { return ballot_; }
@@ -256,19 +260,22 @@ class Replica final : public MessageHandler {
   };
 
   struct PendingProposal {
-    ValueId vid;
-    EntryKind kind = EntryKind::kNormal;
-    Bytes header;
-    /// Prebuilt AcceptMsg wire frames, one per member index (the proposer's
-    /// own slot stays empty). Shares are erasure-coded directly into the
-    /// frames' data gaps at propose time; once the encode is done the frames
-    /// are shared and immutable, so the first send, every retransmit and
-    /// the transport's queue reference the buffer the encoder filled.
+    /// The accept every frame encodes: all its fields but the share's index
+    /// and data.
+    AcceptMsg accept;
+    /// Prebuilt AcceptMsg wire frames, one per member index. The proposer's
+    /// own slot stays empty, and so does a suspected follower's until a
+    /// widened retransmit codes it. Shares are erasure-coded directly into
+    /// the frames' data gaps; once the encode is done the frames are shared
+    /// and immutable, so the first send, every retransmit and the
+    /// transport's queue reference the buffer the encoder filled.
     std::vector<SharedBytes> frames;
-    uint64_t value_len = 0;
     std::set<NodeId> acks;
     ProposeFn cb;
     TimeMicros last_sent = 0;
+    /// Set by the first retransmit: later ones go to every member that has
+    /// not acked, suspected or not.
+    bool widened = false;
     obs::SpanContext commit_span;
     /// Per member index: the "net_accept" span covering that acceptor's
     /// network + queue time. Opened at first send; the receiver ends it.
@@ -328,12 +335,25 @@ class Replica final : public MessageHandler {
   void arm_heartbeat_timer();
   void send_heartbeat();
 
+  // --- failure suspicion (leader) ---
+  /// True when this node has led for at least election_timeout_max and has
+  /// heard nothing from member `m` for that long: the silence that makes a
+  /// follower campaign. Always false off the leader and for itself.
+  bool suspected(NodeId m) const;
+  /// Per member index: may a send skip it? True for the suspected members
+  /// while the unsuspected ones still make up QW; all false otherwise.
+  std::vector<bool> skippable() const;
+  /// Publishes the suspected-peer count to its gauge.
+  void update_suspected_gauge();
+
   // --- proposer path ---
   /// Runs phase 2 for `slot` (pass kNoSlot to assign the next free one).
   static constexpr Slot kNoSlot = 0;
   void propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
                         SharedBytes payload, ProposeFn cb);
-  void send_accept_to(NodeId member, const PendingProposal& p);
+  /// Sends `p`'s accept to `member`, first coding its frame if the
+  /// proposal skipped it as suspected.
+  void send_accept_to(NodeId member, PendingProposal& p);
   void init_metrics();
   void on_accepted(NodeId from, AcceptedMsg msg);
   void handle_commit_of(Slot slot);
@@ -477,6 +497,12 @@ class Replica final : public MessageHandler {
   TimeMicros follower_lease_until_ = 0;         // follower: granted to leader
   TimeMicros last_leader_contact_ = 0;
 
+  // Failure suspicion: when this node took office, and when each member's
+  // latest message of any kind arrived while it led.
+  TimeMicros leader_since_ = 0;
+  std::map<NodeId, TimeMicros> last_heard_;
+  int64_t suspected_count_ = 0;  // last value added to m_.suspected_peers
+
   std::map<Slot, PendingRecovery> recoveries_;
   std::map<Slot, PendingRepair> repairs_;
   // Catch-up entries awaiting payload recovery, per requester.
@@ -545,7 +571,9 @@ class Replica final : public MessageHandler {
     obs::CounterView repair_bytes;  // share bytes fetched for repair/recovery
     obs::CounterView checkpoints, snapshot_installs, snapshot_bytes;
     obs::CounterView shares_evicted, share_readbacks;
+    obs::CounterView accepts_skipped;
     obs::Gauge* resident_share_bytes = nullptr;
+    obs::Gauge* suspected_peers = nullptr;
     obs::HistogramMetric* quorum_wait_us = nullptr;
     obs::HistogramMetric* commit_apply_us = nullptr;
     obs::HistogramMetric* commit_total_us = nullptr;

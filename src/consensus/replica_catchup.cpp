@@ -6,8 +6,9 @@
 //
 //  - PendingRecovery (recover_payload): reconstructs the WHOLE value — the
 //    paper's recovery read. With the policy layer it first fetches only the
-//    cheapest decodable share set (EcPolicy::plan_repair with kWholeValue),
-//    widening to the historical full broadcast on retry.
+//    cheapest decodable share set (EcPolicy::plan_repair with kWholeValue)
+//    among the members a leader does not suspect (DESIGN.md §17), widening
+//    to the historical full broadcast on retry.
 //  - PendingRepair (start_share_repair): rebuilds ONE share — the catch-up
 //    requester's — via the policy's repair plan. Under lrc that reads only
 //    the local group; under hh it fetches sub-masked half-shares, so the
@@ -200,17 +201,20 @@ void Replica::recover_payload(Slot slot, RecoverFn cb) {
   req.epoch = cfg_.epoch;
   req.slot = slot;
   SharedBytes enc = req.encode();  // one buffer for every peer
-  // First pass: fetch only the cheapest decodable set the policy plans (the
-  // local share is free, every peer's costs the same). Widen to the
-  // historical full-membership broadcast once a retry fires, or whenever the
-  // plan cannot be mapped onto the current membership.
+  // First pass: fetch only the cheapest decodable set the policy plans from
+  // the members a leader does not suspect (the local share is free, every
+  // peer's costs the same). Widen to the historical full-membership
+  // broadcast once a retry fires, or whenever the plan cannot be mapped onto
+  // the current membership.
   bool targeted = false;
   if (!rec.widened && rec.vid_known && static_cast<int>(rec.n) == cfg_.n()) {
     auto pol = ec::PolicyCache::get_checked(static_cast<uint8_t>(rec.code),
                                             rec.x, rec.n);
     if (pol.is_ok()) {
       std::vector<int> live;
-      for (int i = 0; i < cfg_.n(); ++i) live.push_back(i);
+      for (int i = 0; i < cfg_.n(); ++i) {
+        if (!suspected(cfg_.members[static_cast<size_t>(i)])) live.push_back(i);
+      }
       ec::RepairPlan plan = pol.value()->plan_repair(ec::RepairPlan::kWholeValue,
                                                      live, share_costs());
       if (plan.feasible()) {
@@ -394,6 +398,7 @@ void Replica::start_share_repair(Slot slot, NodeId requester, int target) {
   std::vector<int> live;
   for (int i = 0; i < pol.n(); ++i) {
     if (i == my_idx && !own_usable) continue;  // our copy is unreadable
+    if (suspected(cfg_.members[static_cast<size_t>(i)])) continue;  // would not answer
     live.push_back(i);
   }
   ec::RepairPlan plan = pol.plan_repair(target, live, share_costs());

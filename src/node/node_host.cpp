@@ -118,6 +118,12 @@ void NodeHost::refresh_board() {
     out += ",\"resident_share_bytes\":" + std::to_string(r.resident_share_bytes());
     out += ",\"state_ready\":" + json_bool(r.state_ready());
     out += ",\"lease_valid\":" + json_bool(r.lease_valid());
+    out += ",\"suspected\":[";
+    std::vector<NodeId> suspects = r.suspected_peers();
+    for (size_t i = 0; i < suspects.size(); ++i) {
+      out += (i > 0 ? "," : "") + std::to_string(suspects[i]);
+    }
+    out += "]";
     out += ",\"wal_bytes\":" + std::to_string(wal_->group_bytes_flushed(g));
     out += ",\"wal_truncated_bytes\":" + std::to_string(wal_->group_truncated_bytes(g));
     out += "}";

@@ -12,6 +12,19 @@ namespace rspaxos::node {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+std::function<std::vector<uint16_t>(size_t)>& port_source() {
+  static std::function<std::vector<uint16_t>(size_t)> fn;
+  return fn;
+}
+
+}  // namespace
+
+void TcpCluster::set_port_source_for_test(std::function<std::vector<uint16_t>(size_t)> fn) {
+  port_source() = std::move(fn);
+}
+
 StatusOr<std::unique_ptr<TcpCluster>> TcpCluster::start(TcpClusterOptions opts) {
   if (opts.num_servers < 1 || opts.num_groups < 1) {
     return Status::invalid("tcp cluster: need at least one server and one group");
@@ -37,6 +50,16 @@ Status TcpCluster::boot() {
   const uint32_t groups = opts_.num_groups;
 
   RSP_RETURN_IF_ERROR(start_endpoints());
+
+  auto bootstraps = [this](int s, uint32_t g) {
+    return opts_.spread_leaders ? static_cast<int>(g) % opts_.num_servers == s : s == 0;
+  };
+  // A frame for an endpoint whose handler is not installed yet is dropped.
+  // A bootstrap leader's prepare must not race its peers' bring-ups, or the
+  // group elects only after an election timeout: every other replica comes
+  // up first, and the bootstrap leaders' bring-ups are held here until then.
+  using Task = std::pair<NodeContext*, std::function<void()>>;
+  auto held = std::make_shared<std::vector<Task>>();
 
   wals_.resize(static_cast<size_t>(servers));
   snaps_.resize(static_cast<size_t>(servers));
@@ -69,13 +92,16 @@ Status TcpCluster::boot() {
           return cluster_group_config(opts_.num_servers, g, opts_.rs_mode, opts_.f, opts_.code)
               .value();
         },
-        hopts,
-        [this, s](uint32_t g) {
-          return opts_.spread_leaders ? static_cast<int>(g) % opts_.num_servers == s : s == 0;
-        },
+        hopts, [bootstraps, s](uint32_t g) { return bootstraps(s, g); },
         // Handler installation + Replica::start must run on the host's loop
         // thread: peers may deliver the instant the handler is visible.
-        [](NodeContext* ctx, std::function<void()> fn) { ctx->set_timer(0, std::move(fn)); });
+        [bootstraps, held, s](NodeContext* ctx, std::function<void()> fn) {
+          if (bootstraps(s, static_cast<uint32_t>(net::group_of_endpoint(ctx->id())))) {
+            held->emplace_back(ctx, std::move(fn));
+          } else {
+            ctx->set_timer(0, std::move(fn));
+          }
+        });
     // The watchdog samples the worst per-peer outbound queue each probe;
     // group 0's endpoint sees the whole host's queues.
     net::TcpNode* ep0 = endpoints_.at(net::endpoint_id(s, 0));
@@ -83,6 +109,14 @@ Status TcpCluster::boot() {
         [ep0] { return static_cast<int64_t>(ep0->max_peer_queue_depth()); });
     hosts_[static_cast<size_t>(s)]->start();
   }
+  // Posts run in order on each loop: once a no-op posted after a host's
+  // bring-ups has run, so have they.
+  for (int s = 0; s < servers; ++s) {
+    std::promise<void> ran;
+    endpoints_.at(net::endpoint_id(s, 0))->set_timer(0, [&ran] { ran.set_value(); });
+    ran.get_future().wait();
+  }
+  for (Task& t : *held) t.first->set_timer(0, std::move(t.second));
 
   if (opts_.balancer) {
     balancers_.resize(static_cast<size_t>(servers));
@@ -106,15 +140,27 @@ Status TcpCluster::start_endpoints() {
   const int servers = opts_.num_servers;
   const size_t num_ports = static_cast<size_t>(servers + opts_.num_clients);
   // free_ports() releases its reservations before start_node() binds them, so
-  // another process can take a port in between. Every server endpoint binds
-  // here, before any WAL or host exists, so a raced port (kUnavailable) is
-  // retried from scratch with fresh ports; any other error returns at once.
+  // another process can take a port in between. Every server and client
+  // endpoint binds here, before any WAL or host exists, so a raced port
+  // (kUnavailable) is retried from scratch with fresh ports; any other error
+  // returns at once.
+  std::vector<NodeId> ids;
+  for (int s = 0; s < servers; ++s) {
+    for (uint32_t g = 0; g < opts_.num_groups; ++g) {
+      ids.push_back(net::endpoint_id(s, static_cast<int>(g)));
+    }
+  }
+  for (int c = 0; c < opts_.num_clients; ++c) {
+    ids.push_back(net::kClientBase + static_cast<NodeId>(c));
+  }
   constexpr int kAttempts = 5;
   Status st;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
     endpoints_.clear();
+    clients_.clear();
     transport_.reset();
-    auto ports = net::TcpTransport::free_ports(num_ports);
+    auto ports =
+        port_source() ? port_source()(num_ports) : net::TcpTransport::free_ports(num_ports);
     if (ports.size() != num_ports) {
       return Status::unavailable("tcp cluster: could not reserve listen ports");
     }
@@ -134,16 +180,13 @@ Status TcpCluster::start_endpoints() {
                                                      net::HostMap{net::kGroupStride});
 
     st = Status::ok();
-    for (int s = 0; s < servers && st.is_ok(); ++s) {
-      for (uint32_t g = 0; g < opts_.num_groups; ++g) {
-        NodeId id = net::endpoint_id(s, static_cast<int>(g));
-        auto ep = transport_->start_node(id);
-        if (!ep.is_ok()) {
-          st = ep.status();
-          break;
-        }
-        endpoints_[id] = ep.value();
+    for (NodeId id : ids) {
+      auto ep = transport_->start_node(id);
+      if (!ep.is_ok()) {
+        st = ep.status();
+        break;
       }
+      (id >= net::kClientBase ? clients_[id] : endpoints_[id]) = ep.value();
     }
     if (st.code() != Code::kUnavailable) return st;
     RSP_WARN << "tcp cluster: " << st.to_string() << " (attempt " << attempt + 1 << " of "
@@ -235,7 +278,7 @@ StatusOr<net::TcpNode*> TcpCluster::start_client() {
   if (next_client_ >= opts_.num_clients) {
     return Status::invalid("tcp cluster: all reserved client endpoints claimed");
   }
-  return transport_->start_node(net::kClientBase + static_cast<NodeId>(next_client_++));
+  return clients_.at(net::kClientBase + static_cast<NodeId>(next_client_++));
 }
 
 int TcpCluster::leader_server_of(uint32_t g) {

@@ -12,6 +12,7 @@
 // same directory restarts the cluster from its WALs and snapshots.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,9 +93,13 @@ class TcpCluster {
   }
 
   kv::RoutingTable routing() const;
-  /// Claims the next pre-reserved client endpoint (its own socket + loop).
-  /// Fails after options().num_clients claims.
+  /// Claims the next client endpoint (its own socket + loop), bound at
+  /// start(). Fails after options().num_clients claims.
   StatusOr<net::TcpNode*> start_client();
+
+  /// Test hook: replaces TcpTransport::free_ports as the source of the ports
+  /// start() binds (an empty function restores it). Set it before start().
+  static void set_port_source_for_test(std::function<std::vector<uint16_t>(size_t)> fn);
 
   /// Which server currently leads group g (-1 when none); polls each
   /// replica on its own loop thread, so callable from any thread.
@@ -113,8 +118,8 @@ class TcpCluster {
  private:
   explicit TcpCluster(TcpClusterOptions opts) : opts_(std::move(opts)) {}
   Status boot();
-  /// Reserves ports, builds the transport and binds every server endpoint,
-  /// retrying with fresh ports when a reservation was raced.
+  /// Reserves ports, builds the transport and binds every server and client
+  /// endpoint, retrying with fresh ports when a reservation was raced.
   Status start_endpoints();
   Status start_admin(int s);
 
@@ -126,6 +131,7 @@ class TcpCluster {
   std::vector<std::unique_ptr<Balancer>> balancers_;                    // per server
   std::vector<std::unique_ptr<obs::AdminServer>> admins_;               // per server
   std::map<NodeId, net::TcpNode*> endpoints_;  // every started server endpoint
+  std::map<NodeId, net::TcpNode*> clients_;    // every client endpoint, bound at start()
   int next_client_ = 0;
 };
 

@@ -74,6 +74,7 @@ uint64_t SimNetwork::total_bytes_sent() const {
 }
 
 void SimNetwork::do_send(SimNode* from, NodeId to, MsgType type, SharedBytes payload) {
+  if (send_tap_) send_tap_(from->id_, to, type, payload.size());
   if (partitioned(from->id_, to)) return;
   const LinkParams& lp = link(from->id_, to);
   Rng& rng = world_->rng();

@@ -104,6 +104,12 @@ class SimNetwork {
       std::function<bool(NodeId from, NodeId to, MsgType type, const SharedBytes& payload)>;
   void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
 
+  /// Test hook, called with each message a live node sends, before the
+  /// network decides its fate: sends to crashed or partitioned nodes are
+  /// seen too.
+  using SendTap = std::function<void(NodeId from, NodeId to, MsgType type, size_t bytes)>;
+  void set_send_tap(SendTap tap) { send_tap_ = std::move(tap); }
+
  private:
   friend class SimNode;
 
@@ -118,6 +124,7 @@ class SimNetwork {
   std::unordered_map<NodeId, std::unique_ptr<SimNode>> nodes_;
   std::vector<std::pair<std::set<NodeId>, std::set<NodeId>>> partitions_;
   DeliveryTap tap_;
+  SendTap send_tap_;
 };
 
 }  // namespace rspaxos::sim

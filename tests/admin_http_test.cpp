@@ -208,6 +208,13 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(after.body.find("\"wal\":{"), std::string::npos);
   EXPECT_NE(after.body.find("\"bytes_flushed\":"), std::string::npos);
   EXPECT_NE(after.body.find("\"resident_share_bytes\":"), std::string::npos) << after.body;
+  // Each group lists its leader's suspects: none on a healthy cluster.
+  size_t none_suspected = 0;
+  for (size_t at = after.body.find("\"suspected\":[]"); at != std::string::npos;
+       at = after.body.find("\"suspected\":[]", at + 1)) {
+    ++none_suspected;
+  }
+  EXPECT_EQ(none_suspected, kGroups) << after.body;
   // One machine log and one loop: no per-reactor members.
   EXPECT_NE(after.body.find("\"io_backend\":\""), std::string::npos) << after.body;
   EXPECT_NE(after.body.find("\"active_segment\":"), std::string::npos) << after.body;
@@ -224,6 +231,10 @@ TEST(AdminHttp, EndpointsServeLiveClusterState) {
   EXPECT_NE(m.body.find("group=\"0\""), std::string::npos);
   EXPECT_NE(m.body.find("group=\"1\""), std::string::npos);
   EXPECT_NE(m.body.find("rsp_log_resident_share_bytes{"), std::string::npos);
+  EXPECT_NE(m.body.find("rsp_consensus_suspected_peers{node=\"0\",group=\"0\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(m.body.find("rsp_consensus_accepts_skipped_total{node=\"0\",group=\"0\"} 0\n"),
+            std::string::npos);
   // Health series are per server; no series carries a reactor label.
   EXPECT_NE(m.body.find("rsp_health_stalled{server=\"2\"}"), std::string::npos);
   EXPECT_EQ(m.body.find("reactor="), std::string::npos);

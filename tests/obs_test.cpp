@@ -193,6 +193,20 @@ TEST(Metrics, HealthSeriesArePerServerAndAdmissionSeriesPerGroup) {
   EXPECT_NE(prom.find("rsp_admission_inflight{node=\"0\",group=\"0\"}", fam),
             std::string::npos)
       << prom;
+
+  // Failure suspicion: per {node, group}, and zero on a healthy cluster even
+  // after every leader has led past election_timeout_max.
+  world.run_for(4 * opts.replica.election_timeout_max);
+  prom = MetricsRegistry::global().to_prometheus();
+  for (const char* node_group : {"node=\"0\",group=\"0\"", "node=\"1\",group=\"1\""}) {
+    EXPECT_NE(prom.find("rsp_consensus_suspected_peers{" + std::string(node_group) + "} 0\n"),
+              std::string::npos)
+        << prom;
+    EXPECT_NE(
+        prom.find("rsp_consensus_accepts_skipped_total{" + std::string(node_group) + "} 0\n"),
+        std::string::npos)
+        << prom;
+  }
 }
 
 TEST(Metrics, HistogramMergeFoldsExternalWindow) {

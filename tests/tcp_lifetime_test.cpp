@@ -9,7 +9,14 @@
 //    successor must recover the old values from shares;
 //  - shares evicted behind the horizon come back from the FileWal: a
 //    recovery read of an evicted 64 KiB value across a leader transfer.
+//  - a stopped follower costs the leader's queue toward it heartbeats only,
+//    once suspected;
+//  - boot: bootstrap leaders campaign only after every peer replica is up,
+//    and client ports bind inside the raced-port retry.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -24,6 +31,7 @@
 #include "kv/client.h"
 #include "net/routing.h"
 #include "node/tcp_cluster.h"
+#include "obs/transport_metrics.h"
 
 namespace rspaxos {
 namespace {
@@ -274,6 +282,163 @@ TEST(TcpLifetime, EvictedLargeValueRecoveredFromFileWalAcrossLeaderTransfer) {
   EXPECT_GT(total([](const consensus::ReplicaStats& st) { return st.share_readbacks; }), 0u)
       << "no evicted share was read back from a WAL";
 
+  c.quiesce();
+  cluster.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A follower whose machine stopped is suspected once the leader has heard
+// nothing from it for election_timeout_max; from then on the leader codes and
+// queues no accept for it, so the transport's outbound queue toward the dead
+// host holds heartbeats alone instead of a share of every put.
+TEST(TcpLifetime, StoppedFollowerQueuesOnlyHeartbeats) {
+  auto dir = fresh_dir("suspect");
+  node::TcpClusterOptions opts = base_options(dir, 5);  // θ(3,5): QW = 4
+  const size_t kLen = kv::KvServer::kBatchMaxBytes;     // each put commits alone
+  constexpr int kPuts = 300;
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto cluster = std::move(started).value();
+  ASSERT_TRUE(wait_for([&] { return cluster->leader_server_of(0) == 0; },
+                       std::chrono::seconds(30)));
+  auto cnode = cluster->start_client();
+  ASSERT_TRUE(cnode.is_ok()) << cnode.status().to_string();
+  kv::KvClient::Options copts;
+  copts.request_timeout = 5000 * kMillis;
+  copts.max_attempts = 100;
+  copts.max_inflight = 8;
+  Client c(cnode.value(), cluster->routing(), copts);
+  ASSERT_TRUE(c.put("warm", pattern(0, 0, kLen)).is_ok());
+
+  const int dead = 4;
+  cluster->endpoint(dead, 0)->shutdown();
+  net::TcpNode* leader_ep = cluster->endpoint(0, 0);
+  consensus::Replica& leader = cluster->server(0, 0)->replica();
+  auto suspects = [&] {
+    std::promise<std::vector<NodeId>> p;
+    leader_ep->loop().post([&] { p.set_value(leader.suspected_peers()); });
+    return p.get_future().get();
+  };
+  ASSERT_TRUE(wait_for(
+      [&] { return suspects() == std::vector<NodeId>{net::endpoint_id(dead, 0)}; },
+      std::chrono::seconds(30)))
+      << "the stopped follower was never suspected";
+
+  // Frames toward the stopped host stay queued: the bytes gauge of that
+  // queue is what the dead peer costs the leader.
+  obs::Gauge* queued = obs::TcpIoMetrics::queue_bytes_gauge(0, static_cast<NodeId>(dead));
+  const int64_t queued0 = queued->value();
+  std::atomic<int> acked{0}, failed{0};
+  cnode.value()->loop().post([&] {
+    for (int i = 0; i < kPuts; ++i) {
+      c.client.put("v" + std::to_string(i % 64), pattern(i, 1, kLen), [&](Status s) {
+        (s.is_ok() ? acked : failed).fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  });
+  ASSERT_TRUE(wait_for([&] { return acked.load() + failed.load() == kPuts; },
+                       std::chrono::seconds(300)));
+  EXPECT_EQ(acked.load(), kPuts);
+  // The parent design queued one ~22 KiB share per put here (~6.5 MB).
+  EXPECT_LT(queued->value() - queued0, 1 << 20)
+      << "accepts queued toward a suspected follower; depth "
+      << leader_ep->max_peer_queue_depth();
+  std::promise<uint64_t> skipped;
+  leader_ep->loop().post([&] { skipped.set_value(leader.stats().accepts_skipped); });
+  EXPECT_GE(skipped.get_future().get(), static_cast<uint64_t>(kPuts));
+
+  c.quiesce();
+  cluster.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Every replica's handler is installed before any bootstrap leader campaigns,
+// so no boot loses its first prepare: each group elects its bootstrap leader
+// in ballot round 1, with one campaign. (Before, about one boot in twenty at
+// three servers, and one in ten at five, lost the prepare and elected only
+// after an election timeout.)
+TEST(TcpLifetime, EveryBootElectsItsBootstrapLeadersAtRoundOne) {
+  struct Shape {
+    int servers;
+    uint32_t groups;
+    int boots;
+  };
+  // One group led by server 0, and three groups spread over three servers,
+  // where every server holds a bootstrap leader.
+  for (Shape shape : {Shape{3, 1, 20}, Shape{5, 1, 20}, Shape{3, 3, 5}}) {
+    for (int boot = 0; boot < shape.boots; ++boot) {
+      auto dir = fresh_dir("boot");
+      node::TcpClusterOptions opts = base_options(dir, shape.servers);
+      opts.num_groups = shape.groups;
+      opts.spread_leaders = true;  // group g bootstraps on server g % servers
+      auto started = node::TcpCluster::start(opts);
+      ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+      auto cluster = std::move(started).value();
+      for (uint32_t g = 0; g < shape.groups; ++g) {
+        const int s = static_cast<int>(g) % shape.servers;
+        const std::string where = std::to_string(shape.servers) + " servers, boot " +
+                                  std::to_string(boot) + ", group " + std::to_string(g);
+        ASSERT_TRUE(wait_for([&] { return cluster->leader_server_of(g) == s; },
+                             std::chrono::seconds(30)))
+            << where;
+        std::promise<std::pair<uint64_t, uint64_t>> p;
+        cluster->endpoint(s, g)->loop().post([&] {
+          const consensus::Replica& r = cluster->server(s, g)->replica();
+          p.set_value({r.current_ballot().round, r.stats().elections_started});
+        });
+        auto [round, campaigns] = p.get_future().get();
+        EXPECT_EQ(round, 1u) << where;
+        EXPECT_EQ(campaigns, 1u) << where;
+      }
+      cluster.reset();
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+// Client endpoints bind at start() inside the same raced-port retry as the
+// servers: a port taken between reservation and bind costs a retry with
+// fresh ports, never a failed start_client().
+TEST(TcpLifetime, RacedClientPortIsRetriedAtBoot) {
+  int taken_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(taken_fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(taken_fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(taken_fd, 1), 0);
+  socklen_t len = sizeof(sa);
+  ::getsockname(taken_fd, reinterpret_cast<sockaddr*>(&sa), &len);
+  const uint16_t taken = ntohs(sa.sin_port);
+
+  int picks = 0;
+  std::vector<uint16_t> bound;
+  node::TcpCluster::set_port_source_for_test([&](size_t n) {
+    auto ports = net::TcpTransport::free_ports(n);
+    if (picks++ == 0) ports.back() = taken;  // the client's reservation, raced
+    bound = ports;
+    return ports;
+  });
+  auto dir = fresh_dir("raced_client");
+  auto started = node::TcpCluster::start(base_options(dir, 3));
+  node::TcpCluster::set_port_source_for_test(nullptr);
+  ::close(taken_fd);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto cluster = std::move(started).value();
+  EXPECT_EQ(picks, 2);
+
+  // The retry's client port is bound before start_client() hands it out.
+  int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  sa.sin_port = htons(bound.back());
+  EXPECT_NE(::bind(probe, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ::close(probe);
+
+  ASSERT_TRUE(wait_for([&] { return cluster->leader_server_of(0) >= 0; },
+                       std::chrono::seconds(30)));
+  auto cnode = cluster->start_client();
+  ASSERT_TRUE(cnode.is_ok()) << cnode.status().to_string();
+  Client c(cnode.value(), cluster->routing(), kv::KvClient::Options{});
+  EXPECT_TRUE(c.put("k", Bytes(16, 1)).is_ok());
   c.quiesce();
   cluster.reset();
   std::filesystem::remove_all(dir);
