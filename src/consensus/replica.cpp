@@ -10,20 +10,6 @@
 #include "consensus/replica_internal.h"
 
 namespace rspaxos::consensus {
-namespace {
-
-/// An accept frame for share `idx` of `tmpl` with a `share_size`-byte gap
-/// the encoder fills in place; `*gap` points at it.
-Bytes accept_frame(AcceptMsg& tmpl, int idx, size_t share_size, uint8_t** gap) {
-  tmpl.share.share_idx = static_cast<uint32_t>(idx);
-  Writer w;
-  size_t off = encode_accept_frame(w, tmpl, share_size);
-  Bytes frame = w.take();
-  *gap = frame.data() + off;
-  return frame;
-}
-
-}  // namespace
 
 Replica::Replica(NodeContext* ctx, storage::Wal* wal, GroupConfig cfg, ReplicaOptions opts)
     : ctx_(ctx), wal_(wal), cfg_(std::move(cfg)), opts_(opts) {
@@ -85,7 +71,7 @@ void Replica::init_metrics() {
            .with({node, group});
   m_.suspected_peers =
       &reg.gauge_family("rsp_consensus_suspected_peers",
-                        "Followers the leader suspects (silent for election_timeout_max)",
+                        "Followers the leader suspects (no heartbeat ack for election_timeout_max)",
                         {"node", "group"})
            .with({node, group});
   m_.snapshot_duration_us =
@@ -196,8 +182,8 @@ NodeId Replica::leader_hint() const {
 bool Replica::suspected(NodeId m) const {
   if (role_ != Role::kLeader || m == ctx_->id()) return false;
   TimeMicros heard = leader_since_;
-  auto it = last_heard_.find(m);
-  if (it != last_heard_.end()) heard = std::max(heard, it->second);
+  auto it = last_ack_time_.find(m);
+  if (it != last_ack_time_.end()) heard = std::max(heard, it->second);
   return ctx_->now() - heard >= opts_.election_timeout_max;
 }
 
@@ -469,10 +455,8 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // per-share staging copy; once encoded, the frames are shared buffers that
   // every send and retransmit references (their piggybacked commit_index
   // stays as of propose time, which is harmless: the watermark also rides
-  // every heartbeat). A suspected follower gets no frame and no share: the
-  // other members make QW without it (DESIGN.md §17).
-  PendingProposal p;
-  AcceptMsg& meta = p.accept;
+  // every heartbeat).
+  AcceptMsg meta;
   meta.epoch = cfg_.epoch;
   meta.ballot = ballot_;
   meta.slot = slot;
@@ -482,29 +466,34 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   meta.share.x = static_cast<uint32_t>(cfg_.x);
   meta.share.n = static_cast<uint32_t>(n);
   meta.share.value_len = payload.size();
-  meta.share.header = std::move(header);
+  meta.share.header = header;
   meta.commit_index = commit_index_;
   meta.trace_id = commit_span.trace_id;
-  const std::vector<bool> skip = skippable();
   obs::SpanContext encode_span = tracer.start_span(
       commit_span, "ec_encode", ctx_->id(), static_cast<int64_t>(ctx_->now()));
   std::vector<Bytes> frames(static_cast<size_t>(n));
   Bytes my_share(meta.share.full_copy() ? 0 : ss);
   std::vector<uint8_t*> dsts(static_cast<size_t>(n), nullptr);
   for (int idx = 0; idx < n; ++idx) {
-    size_t i = static_cast<size_t>(idx);
     if (idx == my_idx) {
-      if (!meta.share.full_copy()) dsts[i] = my_share.data();
-    } else if (skip[i]) {
-      m_.accepts_skipped.inc();
-    } else {
-      frames[i] = accept_frame(meta, idx, ss, &dsts[i]);
+      if (!meta.share.full_copy()) dsts[static_cast<size_t>(idx)] = my_share.data();
+      continue;
     }
+    meta.share.share_idx = static_cast<uint32_t>(idx);
+    Writer w;
+    size_t gap = encode_accept_frame(w, meta, ss);
+    frames[static_cast<size_t>(idx)] = w.take();
+    dsts[static_cast<size_t>(idx)] = frames[static_cast<size_t>(idx)].data() + gap;
   }
 
   code.encode_into(payload, dsts.data());
   tracer.end_span(encode_span, static_cast<int64_t>(ctx_->now()));
 
+  PendingProposal p;
+  p.vid = vid;
+  p.kind = kind;
+  p.header = std::move(header);
+  p.value_len = payload.size();
   p.cb = std::move(cb);
   p.last_sent = proposed_at;
   p.commit_span = commit_span;
@@ -524,8 +513,8 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   share.share_idx = static_cast<uint32_t>(my_idx);
   share.x = static_cast<uint32_t>(cfg_.x);
   share.n = static_cast<uint32_t>(n);
-  share.value_len = meta.share.value_len;
-  share.header = meta.share.header;
+  share.value_len = p.value_len;
+  share.header = p.header;
   LogEntry& e = log_[slot];
   e.accepted = ballot_;
   e.committed = false;
@@ -549,11 +538,20 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   // our own share is durable (same rule as every acceptor). Each follower
   // gets its own "net_accept:<id>" span, opened here and closed by the
   // receiving acceptor (the tracer joins the two halves when it is read).
-  for (int idx = 0; idx < n; ++idx) {
-    if (pp.frames[static_cast<size_t>(idx)].empty()) continue;  // self, or suspected
-    NodeId m = cfg_.members[static_cast<size_t>(idx)];
-    pp.net_spans[static_cast<size_t>(idx)] = tracer.start_span(
-        commit_span, {"net_accept", m}, ctx_->id(), static_cast<int64_t>(ctx_->now()));
+  // A suspected follower is not sent its accept while the other members
+  // still make QW without it (DESIGN.md §17).
+  const std::vector<bool> skip = skippable();
+  for (size_t i = 0; i < cfg_.members.size(); ++i) {
+    NodeId m = cfg_.members[i];
+    if (m == ctx_->id()) continue;
+    if (skip[i]) {
+      m_.accepts_skipped.inc();
+      continue;
+    }
+    if (i < pp.net_spans.size()) {
+      pp.net_spans[i] = tracer.start_span(commit_span, {"net_accept", m}, ctx_->id(),
+                                          static_cast<int64_t>(ctx_->now()));
+    }
     send_accept_to(m, pp);
   }
   Inflight inf;
@@ -573,28 +571,14 @@ void Replica::propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes hea
   });
 }
 
-void Replica::send_accept_to(NodeId member, PendingProposal& p) {
+void Replica::send_accept_to(NodeId member, const PendingProposal& p) {
   int idx = cfg_.index_of(member);
   // Members beyond the frame set (joined in a newer view than this proposal)
   // get nothing: the proposal's coding geometry predates them, and catch-up
   // re-codes committed entries for the new view.
-  if (idx < 0 || static_cast<size_t>(idx) >= p.frames.size()) return;
-  SharedBytes& frame = p.frames[static_cast<size_t>(idx)];
-  if (frame.empty()) {
-    // Skipped as suspected at propose time: code its share now from the
-    // value the leader caches for every pending slot.
-    auto lit = log_.find(p.accept.slot);
-    const SharedBytes* value = lit != log_.end() && lit->second.share.vid == p.accept.share.vid
-                                   ? lit->second.full_payload()
-                                   : nullptr;
-    if (value == nullptr) return;
-    const ec::EcPolicy& code = ec::PolicyCache::get(
-        p.accept.share.code, static_cast<int>(p.accept.share.x), static_cast<int>(p.frames.size()));
-    std::vector<uint8_t*> dsts(p.frames.size(), nullptr);
-    Bytes f = accept_frame(p.accept, idx, code.share_size(value->size()),
-                           &dsts[static_cast<size_t>(idx)]);
-    code.encode_into(*value, dsts.data());
-    frame = SharedBytes(std::move(f));
+  if (idx < 0 || static_cast<size_t>(idx) >= p.frames.size() ||
+      p.frames[static_cast<size_t>(idx)].empty()) {
+    return;
   }
   m_.accepts_sent.inc();
   // The accept travels inside its per-acceptor network span: the transport
@@ -603,7 +587,7 @@ void Replica::send_accept_to(NodeId member, PendingProposal& p) {
   obs::SpanScope scope(static_cast<size_t>(idx) < p.net_spans.size()
                            ? p.net_spans[static_cast<size_t>(idx)]
                            : obs::SpanContext{});
-  ctx_->send(member, MsgType::kAccept, frame);
+  ctx_->send(member, MsgType::kAccept, p.frames[static_cast<size_t>(idx)]);
 }
 
 void Replica::on_accepted(NodeId from, AcceptedMsg msg) {
@@ -625,7 +609,7 @@ void Replica::handle_commit_of(Slot slot) {
   auto it = pending_.find(slot);
   if (it == pending_.end()) return;
   ProposeFn cb = std::move(it->second.cb);
-  ValueId vid = it->second.accept.share.vid;
+  ValueId vid = it->second.vid;
   pending_.erase(it);
 
   auto iit = inflight_.find(slot);
@@ -1127,8 +1111,6 @@ void Replica::add_resident_bytes(int64_t delta) {
 // ---------------------------------------------------------------------------
 
 void Replica::on_message(NodeId from, MsgType type, BytesView payload) {
-  // Any message proves its sender alive and clears its suspicion.
-  if (role_ == Role::kLeader) last_heard_[from] = ctx_->now();
   switch (type) {
     case MsgType::kPrepare: {
       auto m = PrepareMsg::decode(payload);

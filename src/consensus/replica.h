@@ -260,16 +260,16 @@ class Replica final : public MessageHandler {
   };
 
   struct PendingProposal {
-    /// The accept every frame encodes: all its fields but the share's index
-    /// and data.
-    AcceptMsg accept;
-    /// Prebuilt AcceptMsg wire frames, one per member index. The proposer's
-    /// own slot stays empty, and so does a suspected follower's until a
-    /// widened retransmit codes it. Shares are erasure-coded directly into
-    /// the frames' data gaps; once the encode is done the frames are shared
-    /// and immutable, so the first send, every retransmit and the
-    /// transport's queue reference the buffer the encoder filled.
+    ValueId vid;
+    EntryKind kind = EntryKind::kNormal;
+    Bytes header;
+    /// Prebuilt AcceptMsg wire frames, one per member index (the proposer's
+    /// own slot stays empty). Shares are erasure-coded directly into the
+    /// frames' data gaps at propose time; once the encode is done the frames
+    /// are shared and immutable, so the first send, every retransmit and
+    /// the transport's queue reference the buffer the encoder filled.
     std::vector<SharedBytes> frames;
+    uint64_t value_len = 0;
     std::set<NodeId> acks;
     ProposeFn cb;
     TimeMicros last_sent = 0;
@@ -337,8 +337,8 @@ class Replica final : public MessageHandler {
 
   // --- failure suspicion (leader) ---
   /// True when this node has led for at least election_timeout_max and has
-  /// heard nothing from member `m` for that long: the silence that makes a
-  /// follower campaign. Always false off the leader and for itself.
+  /// had no heartbeat ack from member `m` for that long: the silence that
+  /// makes a follower campaign. Always false off the leader and for itself.
   bool suspected(NodeId m) const;
   /// Per member index: may a send skip it? True for the suspected members
   /// while the unsuspected ones still make up QW; all false otherwise.
@@ -351,9 +351,7 @@ class Replica final : public MessageHandler {
   static constexpr Slot kNoSlot = 0;
   void propose_internal(Slot slot, EntryKind kind, ValueId vid, Bytes header,
                         SharedBytes payload, ProposeFn cb);
-  /// Sends `p`'s accept to `member`, first coding its frame if the
-  /// proposal skipped it as suspected.
-  void send_accept_to(NodeId member, PendingProposal& p);
+  void send_accept_to(NodeId member, const PendingProposal& p);
   void init_metrics();
   void on_accepted(NodeId from, AcceptedMsg msg);
   void handle_commit_of(Slot slot);
@@ -497,10 +495,9 @@ class Replica final : public MessageHandler {
   TimeMicros follower_lease_until_ = 0;         // follower: granted to leader
   TimeMicros last_leader_contact_ = 0;
 
-  // Failure suspicion: when this node took office, and when each member's
-  // latest message of any kind arrived while it led.
+  // Failure suspicion: when this node took office (last_ack_time_ holds
+  // each follower's latest heartbeat ack since then).
   TimeMicros leader_since_ = 0;
-  std::map<NodeId, TimeMicros> last_heard_;
   int64_t suspected_count_ = 0;  // last value added to m_.suspected_peers
 
   std::map<Slot, PendingRecovery> recoveries_;

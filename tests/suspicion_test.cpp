@@ -1,5 +1,5 @@
 // The leader routes around followers it suspects (DESIGN.md §17): a member
-// silent for election_timeout_max gets no accepts and no share fetches while
+// with no heartbeat ack for election_timeout_max gets no accepts and no share fetches while
 // the others still make up QW. Each case checks that its fault landed in the
 // window it claims (suspicion set in before the measured traffic began), then
 // counts the bytes the leader sent each peer through the simulator's send tap,
@@ -186,6 +186,51 @@ TEST(Suspicion, BelowWriteQuorumAcceptsStillGoToEveryMember) {
   EXPECT_EQ(got.value(), value_for(1));
 }
 
+TEST(Suspicion, StalledProposalWidensToTheSuspectAndCommitsWhenItReturns) {
+  Fixture f;
+  const int l = f.leader();
+  ASSERT_EQ(l, 0);
+  ASSERT_TRUE(f.put("before", value_for(0)).is_ok());
+  const int dead = 3;
+  f.cluster.crash_server(dead);
+  f.world.run_for(kSuspectAfter);
+  ASSERT_EQ(f.suspects(l), std::vector<NodeId>{endpoint_id(dead, 0)});
+
+  // Silence a second follower just now: it is not suspected for another
+  // election_timeout_max, so the put goes to 1, 2 and 4 and stalls at three
+  // of QW = 4 acks.
+  f.cluster.network().partition({endpoint_id(4, 0)},
+                                {endpoint_id(0, 0), endpoint_id(1, 0), endpoint_id(2, 0),
+                                 endpoint_id(dead, 0), kClientBase});
+  f.count_sends();
+  const uint64_t skipped0 = f.replica(l).stats().accepts_skipped;
+  const DurationMicros retransmit = tuned().replica.retransmit_interval;
+  std::optional<Status> out;
+  f.client->put("during", value_for(1), [&](Status s) { out = s; });
+
+  // The first retransmit (one interval in) still skips the suspect.
+  f.world.run_for(retransmit + retransmit / 2);
+  EXPECT_FALSE(out.has_value());
+  EXPECT_EQ(f.bytes(l, dead, MsgType::kAccept), 0u);
+  EXPECT_EQ(f.replica(l).stats().accepts_skipped - skipped0, 2u);
+
+  // The next one widens to every member that has not acked, the suspect
+  // included; the other follower is still inside its window.
+  f.world.run_for(retransmit);
+  ASSERT_EQ(f.suspects(l), std::vector<NodeId>{endpoint_id(dead, 0)});
+  EXPECT_GT(f.bytes(l, dead, MsgType::kAccept), 0u);
+  EXPECT_FALSE(out.has_value());
+
+  // The suspect comes back, accepts the retransmitted frame, and its vote
+  // completes the write quorum while the other follower is still cut off.
+  f.cluster.restart_server(dead);
+  ASSERT_TRUE(f.run_until([&] { return out.has_value(); }));
+  EXPECT_TRUE(out->is_ok()) << out->to_string();
+  auto got = f.read("during", /*consistent=*/true);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value(), value_for(1));
+}
+
 TEST(Suspicion, RecoveryReadAfterLeaderCrashFetchesXMinusOneShares) {
   Fixture f;
   const int old = f.leader();
@@ -197,8 +242,8 @@ TEST(Suspicion, RecoveryReadAfterLeaderCrashFetchesXMinusOneShares) {
   f.cluster.crash_server(old);
   ASSERT_TRUE(f.run_until([&] { return f.leader() >= 0; }));
   const int l = f.leader();
-  // The new leader suspects its predecessor once it has led, and heard
-  // nothing from it, for election_timeout_max.
+  // The new leader suspects its predecessor once it has led, with no ack
+  // from it, for election_timeout_max.
   EXPECT_TRUE(f.suspects(l).empty());
   f.world.run_for(kSuspectAfter);
   ASSERT_EQ(f.suspects(l), std::vector<NodeId>{endpoint_id(old, 0)});

@@ -287,8 +287,8 @@ TEST(TcpLifetime, EvictedLargeValueRecoveredFromFileWalAcrossLeaderTransfer) {
   std::filesystem::remove_all(dir);
 }
 
-// A follower whose machine stopped is suspected once the leader has heard
-// nothing from it for election_timeout_max; from then on the leader codes and
+// A follower whose machine stopped is suspected once the leader has had no
+// heartbeat ack from it for election_timeout_max; from then on the leader
 // queues no accept for it, so the transport's outbound queue toward the dead
 // host holds heartbeats alone instead of a share of every put.
 TEST(TcpLifetime, StoppedFollowerQueuesOnlyHeartbeats) {
