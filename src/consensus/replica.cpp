@@ -181,6 +181,10 @@ NodeId Replica::leader_hint() const {
 
 bool Replica::suspected(NodeId m) const {
   if (role_ != Role::kLeader || m == ctx_->id()) return false;
+  // A member the transport still holds a connection to is alive, only slow
+  // (a stalled loop or a stolen vCPU): routing around it would leave it
+  // holes that catch-up must fill.
+  if (ctx_->connected_to(m)) return false;
   TimeMicros heard = leader_since_;
   auto it = last_ack_time_.find(m);
   if (it != last_ack_time_.end()) heard = std::max(heard, it->second);

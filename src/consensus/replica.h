@@ -338,7 +338,8 @@ class Replica final : public MessageHandler {
   // --- failure suspicion (leader) ---
   /// True when this node has led for at least election_timeout_max and has
   /// had no heartbeat ack from member `m` for that long: the silence that
-  /// makes a follower campaign. Always false off the leader and for itself.
+  /// makes a follower campaign. Always false off the leader, for itself, and
+  /// for a member the transport reports connected (NodeContext::connected_to).
   bool suspected(NodeId m) const;
   /// Per member index: may a send skip it? True for the suspected members
   /// while the unsuspected ones still make up QW; all false otherwise.

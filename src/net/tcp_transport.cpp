@@ -84,6 +84,11 @@ bool TcpNode::cancel_timer(TimerId id) { return host_->loop_.cancel(id); }
 
 bool TcpNode::on_context_thread() const { return host_->loop_.on_loop_thread(); }
 
+bool TcpNode::connected_to(NodeId peer) const {
+  auto it = host_->peers_.find(host_->transport_->host_map().host_of(peer));
+  return it != host_->peers_.end() && it->second->state == TcpHost::PeerState::kConnected;
+}
+
 // ---------------------------------------------------------------------------
 // TcpHost.
 
@@ -546,43 +551,68 @@ TcpTransport::~TcpTransport() {
   // Hosts first: stops every loop, after which no thread can touch the
   // endpoint objects the nodes_ map still owns.
   for (auto& [id, host] : hosts_) host->shutdown();
+  for (auto& [id, fd] : bound_) ::close(fd);
+}
+
+StatusOr<int> TcpTransport::listen_on(HostId host_id) {
+  auto ait = addrs_.find(host_id);
+  if (ait == addrs_.end()) return Status::invalid("unknown host id");
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return Status::internal("socket failed");
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(ait->second.port);
+  if (::inet_pton(AF_INET, ait->second.host.c_str(), &sa.sin_addr) != 1) {
+    ::close(fd);
+    return Status::invalid("bad host " + ait->second.host);
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    int err = errno;
+    ::close(fd);
+    if (err == EADDRINUSE) {
+      // free_ports() reservations are released before we bind, so another
+      // process can win the port in between. Retryable by design.
+      return Status::unavailable("port " + std::to_string(ait->second.port) +
+                                 " raced (EADDRINUSE); pick fresh free_ports() and retry");
+    }
+    return Status::internal("bind failed: " + std::string(std::strerror(err)));
+  }
+  if (::listen(fd, 256) != 0) {
+    ::close(fd);
+    return Status::internal("listen failed");
+  }
+  return fd;
+}
+
+Status TcpTransport::bind_node(NodeId id) {
+  HostId host_id = host_map_.host_of(id);
+  std::lock_guard<std::mutex> lk(mu_);
+  if (hosts_.count(host_id) != 0 || bound_.count(host_id) != 0) return Status::ok();
+  auto fd = listen_on(host_id);
+  if (!fd.is_ok()) return fd.status();
+  bound_[host_id] = fd.value();
+  return Status::ok();
 }
 
 StatusOr<TcpNode*> TcpTransport::start_node(NodeId id) {
   HostId host_id = host_map_.host_of(id);
-  auto ait = addrs_.find(host_id);
-  if (ait == addrs_.end()) return Status::invalid("unknown host id");
+  if (addrs_.count(host_id) == 0) return Status::invalid("unknown host id");
 
   std::lock_guard<std::mutex> lk(mu_);
   if (nodes_.count(id) != 0) return Status::failed_precondition("node already started");
 
   auto hit = hosts_.find(host_id);
   if (hit == hosts_.end()) {
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0) return Status::internal("socket failed");
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(ait->second.port);
-    if (::inet_pton(AF_INET, ait->second.host.c_str(), &sa.sin_addr) != 1) {
-      ::close(fd);
-      return Status::invalid("bad host " + ait->second.host);
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-      int err = errno;
-      ::close(fd);
-      if (err == EADDRINUSE) {
-        // free_ports() reservations are released before we bind, so another
-        // process can win the port in between. Retryable by design.
-        return Status::unavailable("port " + std::to_string(ait->second.port) +
-                                   " raced (EADDRINUSE); pick fresh free_ports() and retry");
-      }
-      return Status::internal("bind failed: " + std::string(std::strerror(err)));
-    }
-    if (::listen(fd, 256) != 0) {
-      ::close(fd);
-      return Status::internal("listen failed");
+    int fd;
+    if (auto bit = bound_.find(host_id); bit != bound_.end()) {
+      fd = bit->second;
+      bound_.erase(bit);
+    } else {
+      auto bound = listen_on(host_id);
+      if (!bound.is_ok()) return bound.status();
+      fd = bound.value();
     }
     auto host = std::unique_ptr<TcpHost>(new TcpHost(this, host_id, fd));
     if (!host->loop_.ok()) {

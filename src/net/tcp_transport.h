@@ -78,6 +78,8 @@ class TcpNode final : public NodeContext {
   bool cancel_timer(TimerId id) override;
   uint64_t bytes_sent() const override { return bytes_sent_.load(); }
   bool on_context_thread() const override;
+  /// The owning host's outbound connection to `peer`'s host is established.
+  bool connected_to(NodeId peer) const override;
 
   void set_handler(MessageHandler* handler) override { handler_.store(handler); }
   /// The owning host's loop — shared by all endpoints on the host.
@@ -262,6 +264,12 @@ class TcpTransport {
   /// another process) — callers should pick fresh ports and retry.
   StatusOr<TcpNode*> start_node(NodeId id);
 
+  /// Binds + listens `id`'s host socket now and starts nothing: the host and
+  /// its loop thread come with the first start_node() of that host, which
+  /// then cannot race for the port. Same kUnavailable contract as
+  /// start_node().
+  Status bind_node(NodeId id);
+
   const PeerAddr& addr(HostId id) const { return addrs_.at(id); }
   const HostMap& host_map() const { return host_map_; }
 
@@ -277,7 +285,11 @@ class TcpTransport {
   std::map<HostId, PeerAddr> addrs_;
   HostMap host_map_;
   std::mutex mu_;
+  /// Bound + listening, no loop thread yet (the socket is ready; guarded by mu_).
+  StatusOr<int> listen_on(HostId host_id);
+
   std::map<HostId, std::unique_ptr<TcpHost>> hosts_;
+  std::map<HostId, int> bound_;  // bind_node() listeners awaiting their host
   std::map<NodeId, std::unique_ptr<TcpNode>> nodes_;
 };
 

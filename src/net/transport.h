@@ -103,6 +103,14 @@ class NodeContext : public Clock {
   /// mixes contexts from different loops. Transports without a dedicated
   /// thread (the simulator's single-threaded world) report true.
   virtual bool on_context_thread() const { return true; }
+
+  /// True when the transport holds an established connection to `peer`'s
+  /// process: it is alive, however slow it is to answer. Transports without
+  /// connections (the simulator) report false. Call on the execution thread.
+  virtual bool connected_to(NodeId peer) const {
+    (void)peer;
+    return false;
+  }
 };
 
 }  // namespace rspaxos

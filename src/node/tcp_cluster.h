@@ -93,8 +93,8 @@ class TcpCluster {
   }
 
   kv::RoutingTable routing() const;
-  /// Claims the next client endpoint (its own socket + loop), bound at
-  /// start(). Fails after options().num_clients claims.
+  /// Claims the next client endpoint (its own socket + loop); its port was
+  /// bound at start(). Fails after options().num_clients claims.
   StatusOr<net::TcpNode*> start_client();
 
   /// Test hook: replaces TcpTransport::free_ports as the source of the ports
@@ -118,8 +118,9 @@ class TcpCluster {
  private:
   explicit TcpCluster(TcpClusterOptions opts) : opts_(std::move(opts)) {}
   Status boot();
-  /// Reserves ports, builds the transport and binds every server and client
-  /// endpoint, retrying with fresh ports when a reservation was raced.
+  /// Reserves ports, builds the transport, starts every server endpoint and
+  /// binds every client port, retrying with fresh ports when a reservation
+  /// was raced.
   Status start_endpoints();
   Status start_admin(int s);
 
@@ -131,7 +132,6 @@ class TcpCluster {
   std::vector<std::unique_ptr<Balancer>> balancers_;                    // per server
   std::vector<std::unique_ptr<obs::AdminServer>> admins_;               // per server
   std::map<NodeId, net::TcpNode*> endpoints_;  // every started server endpoint
-  std::map<NodeId, net::TcpNode*> clients_;    // every client endpoint, bound at start()
   int next_client_ = 0;
 };
 

@@ -10,7 +10,7 @@
 //  - shares evicted behind the horizon come back from the FileWal: a
 //    recovery read of an evicted 64 KiB value across a leader transfer.
 //  - a stopped follower costs the leader's queue toward it heartbeats only,
-//    once suspected;
+//    once suspected; a stalled follower, still connected, is not suspected;
 //  - boot: bootstrap leaders campaign only after every peer replica is up,
 //    and client ports bind inside the raced-port retry.
 #include <arpa/inet.h>
@@ -346,6 +346,58 @@ TEST(TcpLifetime, StoppedFollowerQueuesOnlyHeartbeats) {
   std::promise<uint64_t> skipped;
   leader_ep->loop().post([&] { skipped.set_value(leader.stats().accepts_skipped); });
   EXPECT_GE(skipped.get_future().get(), static_cast<uint64_t>(kPuts));
+
+  c.quiesce();
+  cluster.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A follower whose loop stalls past election_timeout_max (as under host CPU
+// steal) still holds its connections, so the leader does not route around
+// it: no accept is skipped and the follower needs no catch-up afterwards.
+// Before, the stall got the follower suspected, the puts meanwhile skipped
+// it, and its return cost a catch-up of every skipped slot.
+TEST(TcpLifetime, StalledFollowerIsNotRoutedAround) {
+  auto dir = fresh_dir("stall");
+  node::TcpClusterOptions opts = base_options(dir, 5);  // θ(3,5): QW = 4
+  const size_t kLen = kv::KvServer::kBatchMaxBytes;     // each put commits alone
+  auto started = node::TcpCluster::start(opts);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  auto cluster = std::move(started).value();
+  ASSERT_TRUE(wait_for([&] { return cluster->leader_server_of(0) == 0; },
+                       std::chrono::seconds(30)));
+  auto cnode = cluster->start_client();
+  ASSERT_TRUE(cnode.is_ok()) << cnode.status().to_string();
+  kv::KvClient::Options copts;
+  copts.request_timeout = 5000 * kMillis;
+  copts.max_attempts = 100;
+  Client c(cnode.value(), cluster->routing(), copts);
+  ASSERT_TRUE(c.put("warm", pattern(0, 0, kLen)).is_ok());
+
+  const DurationMicros stall = 2 * opts.replica.election_timeout_max;
+  std::atomic<bool> stalled{false};
+  cluster->endpoint(4, 0)->loop().post([&] {
+    stalled.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds(stall));
+  });
+  ASSERT_TRUE(wait_for([&] { return stalled.load(); }, std::chrono::seconds(10)));
+  // Puts through the whole stall: the last ones are proposed after the
+  // follower has been silent for longer than election_timeout_max.
+  auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(stall);
+  int i = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_TRUE(c.put("s" + std::to_string(i % 16), pattern(i, 1, kLen)).is_ok());
+    ++i;
+  }
+  ASSERT_GT(i, 0);
+
+  net::TcpNode* leader_ep = cluster->endpoint(0, 0);
+  consensus::Replica& leader = cluster->server(0, 0)->replica();
+  std::promise<consensus::ReplicaStats> stats;
+  leader_ep->loop().post([&] { stats.set_value(leader.stats()); });
+  consensus::ReplicaStats st = stats.get_future().get();
+  EXPECT_EQ(st.accepts_skipped, 0u) << i << " puts during the stall";
+  EXPECT_EQ(st.catchup_entries_served, 0u);
 
   c.quiesce();
   cluster.reset();
