@@ -27,7 +27,6 @@
 #include "net/tcp_transport.h"
 #include "util/crc32.h"
 #include "util/event_loop.h"
-#include "util/io_driver.h"
 #include "util/rng.h"
 #include "util/slab_map.h"
 
@@ -385,16 +384,13 @@ void run_rpc_sweep() {
   }
   std::fprintf(f,
                "{\n  \"transport\": \"tcp\",\n  \"sender_threads\": %d,\n"
-               "  \"cores\": %u,\n  \"io_backend\": \"%s\",\n"
+               "  \"cores\": %u,\n"
                "  \"note\": \"median of 3 runs per cell; the sweep drives a "
-               "single point-to-point node pair; io_backend is "
-               "the driver behind both the sweep's transport loop and FileWal "
-               "(RSPAXOS_IO_BACKEND). On single-core hosts frames >=64KiB are "
+               "single point-to-point node pair. On single-core hosts frames >=64KiB are "
                "memory-bandwidth-bound, so the syscall savings show up at "
                "small frames\",\n"
                "  \"sweep\": [\n",
-               kSweepThreads, std::thread::hardware_concurrency(),
-               util::io_backend_name());
+               kSweepThreads, std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const RpcRow& r = rows[i];
     std::fprintf(f,

@@ -1,12 +1,10 @@
-// WAL backend micro-benchmark: FileWal group-commit throughput, epoll-style
-// write+fdatasync vs the io_uring WRITEV→FSYNC linked-chain backend
-// (DESIGN.md §12), on the real filesystem. This is the WAL-fsync-bound
-// measurement the io_uring backend is judged against: bench_rpc_micro never
-// touches a disk and bench_multi_group runs on the simulator, so neither can
-// see a syscall-path difference. Closed-loop with a bounded in-flight window
-// so group commit has company to amortize, exactly like a leader with
-// pipelined proposals. Writes BENCH_wal.json; rows for a backend the kernel
-// or build can't provide are skipped (and say so), never faked.
+// WAL micro-benchmark: FileWal group-commit throughput (writev + fdatasync
+// per batch) on the real filesystem, with no network or protocol around it.
+// bench_rpc_micro never touches a disk and bench_multi_group runs on the
+// simulator, so this is the WAL-only number a flusher change (ROADMAP item 4)
+// is judged against. Closed-loop with a bounded in-flight window so group
+// commit has company to amortize, exactly like a leader with pipelined
+// proposals. Writes BENCH_wal.json.
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -17,13 +15,11 @@
 
 #include "common.h"
 #include "storage/file_wal.h"
-#include "util/io_driver.h"
 
 namespace rspaxos::bench {
 namespace {
 
 struct Row {
-  std::string backend;
   size_t record_bytes = 0;
   int appends = 0;
   double wall_ms = 0;
@@ -34,16 +30,13 @@ struct Row {
 
 /// One closed-loop run: `total` appends of `record_bytes`, spread round-robin
 /// over `groups`, at most `window` in flight (durability callbacks refill).
-Row run_one(const std::string& backend, size_t record_bytes, int total, uint32_t groups,
-            int window) {
-  ::setenv("RSPAXOS_IO_BACKEND", backend.c_str(), 1);
+Row run_one(size_t record_bytes, int total, uint32_t groups, int window) {
   auto dir = std::filesystem::temp_directory_path() /
-             ("rspaxos_bench_wal_" + backend + "_" + std::to_string(::getpid()));
+             ("rspaxos_bench_wal_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   Row row;
-  row.backend = backend;
   row.record_bytes = record_bytes;
   row.appends = total;
   {
@@ -105,32 +98,22 @@ int main_impl() {
     size_t bytes;
     int total;
   };
-  // 256B: pure fsync-bound (frame overhead dominates); 64KiB: the chain's
-  // WRITEV leg carries real data.
+  // 256B: pure fsync-bound (frame overhead dominates); 64KiB: the writev
+  // carries real data.
   const Point points[] = {{256, 2000}, {64u << 10, 400}};
 
-  std::vector<std::string> backends = {"epoll"};
-  if (util::uring_supported()) {
-    backends.push_back("uring");
-  } else {
-    std::printf("io_uring unavailable (build or kernel): epoll rows only\n");
-  }
-
   std::vector<Row> rows;
-  std::printf("=== FileWal group commit: epoll write+fdatasync vs io_uring linked chain ===\n");
+  std::printf("=== FileWal group commit: writev + fdatasync per batch ===\n");
   std::printf("(%u groups, window %d, tmpfs-or-disk at %s)\n\n", kGroups, kWindow,
               std::filesystem::temp_directory_path().c_str());
-  std::printf("backend  rec bytes |  appends/s      Mb/s   wall ms   flushes\n");
+  std::printf("rec bytes |  appends/s      Mb/s   wall ms   flushes\n");
   for (const Point& pt : points) {
-    for (const std::string& b : backends) {
-      // Untimed warmup: page cache, allocator and flusher steady state.
-      run_one(b, pt.bytes, pt.total / 10, kGroups, kWindow);
-      Row r = run_one(b, pt.bytes, pt.total, kGroups, kWindow);
-      std::printf("%-8s %9zu | %10.0f %9.2f %9.1f %9llu\n", r.backend.c_str(),
-                  r.record_bytes, r.appends_per_sec, r.mbps, r.wall_ms,
-                  static_cast<unsigned long long>(r.flush_ops));
-      rows.push_back(std::move(r));
-    }
+    // Untimed warmup: page cache, allocator and flusher steady state.
+    run_one(pt.bytes, pt.total / 10, kGroups, kWindow);
+    Row r = run_one(pt.bytes, pt.total, kGroups, kWindow);
+    std::printf("%9zu | %10.0f %9.2f %9.1f %9llu\n", r.record_bytes, r.appends_per_sec,
+                r.mbps, r.wall_ms, static_cast<unsigned long long>(r.flush_ops));
+    rows.push_back(r);
   }
 
   std::FILE* f = std::fopen("BENCH_wal.json", "w");
@@ -138,19 +121,19 @@ int main_impl() {
     std::fprintf(stderr, "cannot write BENCH_wal.json\n");
     return 1;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"wal_backend_micro\", %s,\n",
+  std::fprintf(f, "{\n  \"benchmark\": \"wal_micro\", %s,\n",
                bench_meta_json().c_str());
   std::fprintf(f,
                "  \"note\": \"real-filesystem FileWal group commit, closed loop "
-               "(4 groups, window 16); io_backend above is the build default, each "
-               "row names the backend it actually ran\",\n  \"rows\": [\n");
+               "(4 groups, window 16); one writev + fdatasync per batch\",\n"
+               "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"record_bytes\": %zu, \"appends\": %d, "
+                 "    {\"record_bytes\": %zu, \"appends\": %d, "
                  "\"appends_per_sec\": %.0f, \"mbps\": %.2f, \"wall_ms\": %.1f, "
                  "\"flush_ops\": %llu}%s\n",
-                 r.backend.c_str(), r.record_bytes, r.appends, r.appends_per_sec, r.mbps,
+                 r.record_bytes, r.appends, r.appends_per_sec, r.mbps,
                  r.wall_ms, static_cast<unsigned long long>(r.flush_ops),
                  i + 1 < rows.size() ? "," : "");
   }

@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/histogram.h"
-#include "util/io_driver.h"
 #include "util/rng.h"
 
 namespace rspaxos::bench {
@@ -46,12 +45,10 @@ inline DiskKind hdd() { return DiskKind{"HDD", sim::DiskParams::hdd()}; }
 inline DiskKind ssd() { return DiskKind{"SSD", sim::DiskParams::ssd()}; }
 
 /// Execution-environment metadata stamped into every bench JSON header (no
-/// surrounding braces — splice into an object): the host's ACTUAL core count
-/// and the IO backend this build would select, so a result's claims are
-/// checkable after the fact.
+/// surrounding braces — splice into an object): the host's ACTUAL core count,
+/// so a result's claims are checkable after the fact.
 inline std::string bench_meta_json() {
-  return "\"cores\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"io_backend\": \"" + util::io_backend_name() + "\"";
+  return "\"cores\": " + std::to_string(std::thread::hardware_concurrency());
 }
 
 /// Replica timing used by all benchmarks (scaled for WAN round trips).

@@ -11,11 +11,6 @@
 #   scripts/check.sh --sat      # saturation loop: admission/pipelining suites
 #                               # + a short bench_saturation --smoke sweep that
 #                               # must emit a sane BENCH_saturation.json
-#   scripts/check.sh --uring    # io_uring lane: re-runs the WAL + TCP socket
-#                               # suites with RSPAXOS_IO_BACKEND=uring; skips
-#                               # (exit 0, clear message) when the kernel or
-#                               # build lacks io_uring support. The tier-1
-#                               # ladder always runs the epoll default.
 #   scripts/check.sh --codes    # erasure-code policy lane: the policy suites
 #                               # (incl. the scalar-GF rerun and the hh sim
 #                               # cluster) + bench_codes --smoke, gated on the
@@ -49,13 +44,12 @@ FAST=0
 SAN=0
 OBS=0
 SAT=0
-URING=0
 CODES=0
 RESHARD=0
 STRESS_RE=""
 STRESS_N=0
 usage() {
-  echo "usage: $0 [--fast] [--san] [--obs] [--sat] [--uring] [--codes] [--reshard]" \
+  echo "usage: $0 [--fast] [--san] [--obs] [--sat] [--codes] [--reshard]" \
        "[--stress REGEX N]" >&2
   exit 2
 }
@@ -65,7 +59,6 @@ while [[ $# -gt 0 ]]; do
     --san) SAN=1 ;;
     --obs) OBS=1 ;;
     --sat) SAT=1 ;;
-    --uring) URING=1 ;;
     --codes) CODES=1 ;;
     --reshard) RESHARD=1 ;;
     --stress)
@@ -231,28 +224,6 @@ if [[ -n "$STRESS_RE" ]]; then
        "$(ls "$out" | grep -c 'load.*FAILED.log$' || true) failing load runs kept in $out/"
   [[ "$fails" == 0 ]]
   exit
-fi
-
-if [[ "$URING" == 1 ]]; then
-  # io_uring lane: the suites that exercise IoDriver on both of its surfaces —
-  # FileWal's WRITEV+FSYNC flusher and the TCP transport's readiness loop —
-  # re-run with the uring backend selected. Support is probed with the same
-  # code make_io_driver() uses, so "skip" here means production binaries on
-  # this kernel would silently fall back to epoll too.
-  echo "=== [default] configure + build (uring probe) ==="
-  cmake --preset default
-  cmake --build --preset default -j "$JOBS" --target io_backend_probe
-  if ! ./build/tests/io_backend_probe; then
-    echo "check.sh: --uring SKIPPED — kernel or build lacks io_uring support" \
-         "(io_backend_probe reports epoll fallback); epoll coverage is tier-1"
-    exit 0
-  fi
-  cmake --build --preset default -j "$JOBS"
-  echo "=== [default] ctest (RSPAXOS_IO_BACKEND=uring) ==="
-  RSPAXOS_IO_BACKEND=uring ctest --preset default -j "$JOBS" \
-    -R 'storage_test|wal_conformance_test|transport_test|multi_group_tcp_test|admin_http_test'
-  echo "check.sh: uring suites passed"
-  exit 0
 fi
 
 if [[ "$FAST" == 1 ]]; then

@@ -218,7 +218,7 @@ void Replica::update_suspected_gauge() {
 }
 
 bool Replica::lease_valid() const {
-  if (role_ != Role::kLeader) return false;
+  if (role_ != Role::kLeader || applied_index_ < lease_floor_) return false;
   // Lease: the (QW-1)-th freshest follower ack plus lease window, minus the
   // assumed drift bound δ. Counting this replica itself as "fresh now", QW
   // members vouch for the leadership within the window.
@@ -308,6 +308,7 @@ void Replica::become_leader() {
     }
   }
   next_slot_ = std::max(next_slot_, max_slot + 1);
+  lease_floor_ = max_slot;
   RSP_INFO << "elected" << RSP_KV("node", ctx_->id()) << RSP_KV("ballot", ballot_.to_string())
            << RSP_KV("open_from", campaign_start_) << RSP_KV("open_to", max_slot);
 

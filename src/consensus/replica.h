@@ -188,7 +188,9 @@ class Replica final : public MessageHandler {
   bool is_leader() const { return role_ == Role::kLeader; }
   /// Best-known leader (kNoNode if unknown).
   NodeId leader_hint() const;
-  /// True while the §4.3 lease makes a leader-local fast read safe.
+  /// True while the §4.3 lease makes a leader-local fast read safe: a
+  /// quorum acked recently, and this leader has applied every slot its
+  /// election found open.
   bool lease_valid() const;
   Slot commit_index() const { return commit_index_; }
   Slot last_applied() const { return applied_index_; }
@@ -471,6 +473,10 @@ class Replica final : public MessageHandler {
   Slot next_slot_ = 1;       // leader: next slot to assign
   Slot commit_index_ = 0;    // all slots <= this are committed
   Slot applied_index_ = 0;
+  // Leader: the last slot its election found open. Until it has applied
+  // them, its store may lack writes acked under an earlier leader, so it
+  // serves no lease read.
+  Slot lease_floor_ = 0;
   // Monotone scan floor for maybe_drop_old_payloads: everything at or below
   // it has already been stripped, so per-apply cache GC walks only newly
   // aged-out slots instead of rescanning from log_.begin(). An entry whose

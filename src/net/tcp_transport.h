@@ -3,12 +3,11 @@
 //
 // Mirrors the paper's implementation substrate (§5: "an asynchronous RPC
 // module for message passing between processes. It uses TCP"). The host's
-// EventLoop is its reactor: the loop's IoDriver (epoll or io_uring,
-// RSPAXOS_IO_BACKEND selects) carries the listener, every inbound connection
-// and every outbound peer socket, and the same thread runs the protocol's
-// handlers and timers. Protocol code therefore sees the identical
-// single-threaded contract as under the simulator, and a frame goes from
-// socket to handler without a thread hop.
+// EventLoop is its reactor: the loop's epoll instance carries the listener,
+// every inbound connection and every outbound peer socket, and the same
+// thread runs the protocol's handlers and timers. Protocol code therefore
+// sees the identical single-threaded contract as under the simulator, and a
+// frame goes from socket to handler without a thread hop.
 //
 // Since the multi-group node host change, one physical endpoint (socket +
 // EventLoop) can serve many logical NodeContexts: a HostMap (net/routing.h)

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/io_driver.h"
-
 namespace rspaxos::node {
 
 namespace {
@@ -97,7 +95,6 @@ void NodeHost::refresh_board() {
   if (!endpoints_.empty()) {
     out += ",\"now_us\":" + std::to_string(static_cast<int64_t>(endpoints_[0]->now()));
   }
-  out += ",\"io_backend\":\"" + std::string(util::io_backend_name()) + "\"";
   out += ",\"groups\":[";
   for (uint32_t g = 0; g < servers_.size(); ++g) {
     const consensus::Replica& r = servers_[g]->replica();

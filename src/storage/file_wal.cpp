@@ -6,6 +6,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -16,7 +17,6 @@
 
 #include "obs/metrics.h"
 #include "util/crc32.h"
-#include "util/io_driver.h"
 #include "util/marshal.h"
 
 namespace rspaxos::storage {
@@ -60,6 +60,36 @@ struct WalMetrics {
 // records carry the caller's bytes after the key; marker records embed the
 // group's replacement head (u32 count, then u32 len + bytes per record).
 constexpr uint32_t kGkMarkerBit = 1;
+
+/// Writes every iovec fully, resuming after partial writes and chunking the
+/// array at IOV_MAX. Mutates the iovecs as it consumes them. Returns the
+/// bytes actually written: on error that is fewer than the total, but the
+/// prefix may still have reached the file.
+size_t writev_full(int fd, std::vector<iovec>& iov) {
+  size_t i = 0;
+  size_t written = 0;
+  while (i < iov.size()) {
+    size_t cnt = std::min<size_t>(iov.size() - i, IOV_MAX);
+    ssize_t n = ::writev(fd, &iov[i], static_cast<int>(cnt));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return written;
+    }
+    written += static_cast<size_t>(n);
+    size_t left = static_cast<size_t>(n);
+    while (left > 0 && i < iov.size()) {
+      if (left >= iov[i].iov_len) {
+        left -= iov[i].iov_len;
+        ++i;
+      } else {
+        iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + left;
+        iov[i].iov_len -= left;
+        left = 0;
+      }
+    }
+  }
+  return written;
+}
 
 inline uint32_t payload_gk(BytesView payload) {
   uint32_t gk;
@@ -311,10 +341,6 @@ FileWal::FileWal(std::string path, int64_t window_us, size_t segment_bytes,
     : path_(std::move(path)), window_us_(window_us), segment_bytes_(segment_bytes),
       num_groups_(num_groups), fd_(active_fd), first_seq_(first_seq),
       active_seq_(active_seq), active_size_(active_size), live_(std::move(scan)) {
-  // Dedicated driver for the flusher's write+sync chains (uring: linked
-  // WRITEV→FSYNC SQEs; epoll: writev+fdatasync syscalls). Created here,
-  // used only by the flusher thread (thread start is the handoff).
-  io_ = util::make_io_driver();
   group_counters_.reserve(num_groups_);
   for (uint32_t g = 0; g < num_groups_; ++g) {
     group_counters_.push_back(std::make_unique<GroupCounters>());
@@ -427,7 +453,7 @@ void FileWal::flusher_loop() {
 void FileWal::flush_batch(std::deque<Pending> batch) {
   auto flush_start = std::chrono::steady_clock::now();
   // The whole group-commit batch goes down in one vectored write (chunked
-  // at IOV_MAX by the driver), not one write() per record: each record's
+  // at IOV_MAX by writev_full), not one write() per record: each record's
   // framed head, then its body straight from the caller's buffer.
   size_t nbytes = 0;
   std::vector<iovec> iov;
@@ -451,9 +477,8 @@ void FileWal::flush_batch(std::deque<Pending> batch) {
   }
   const uint64_t seg = active_seq_.load();
   const uint64_t base_off = active_size_;
-  bool synced = false;
-  size_t wrote = broken_ ? 0 : io_->write_and_sync(fd_, iov, &synced);
-  bool write_ok = !broken_ && wrote == nbytes && synced;
+  size_t wrote = broken_ ? 0 : writev_full(fd_, iov);
+  bool write_ok = !broken_ && wrote == nbytes && ::fdatasync(fd_) == 0;
   flush_ops_.fetch_add(1);
   if (write_ok) {
     active_size_ += wrote;
@@ -556,9 +581,7 @@ void FileWal::do_truncate(Pending t) {
   }
   Bytes marker = frame_marker_record(t.group, t.head);
   std::vector<iovec> iov{{const_cast<uint8_t*>(marker.data()), marker.size()}};
-  bool synced = false;
-  size_t wrote = io_->write_and_sync(nfd, iov, &synced);
-  if (wrote != marker.size() || !synced) {
+  if (writev_full(nfd, iov) != marker.size() || ::fdatasync(nfd) != 0) {
     ::close(nfd);
     ::unlink(seg_file(path_, new_seq).c_str());
     if (t.tcb && !drop_callbacks_.load()) {
@@ -580,14 +603,14 @@ void FileWal::do_truncate(Pending t) {
   if (t.group < group_counters_.size()) group_counters_[t.group]->marker_seg.store(new_seq);
   reclaim_segments();
 
-  bytes_flushed_.fetch_add(wrote);
+  bytes_flushed_.fetch_add(marker.size());
   flush_ops_.fetch_add(1);
   if (t.group < group_counters_.size()) {
-    group_counters_[t.group]->flushed.fetch_add(wrote);
+    group_counters_[t.group]->flushed.fetch_add(marker.size());
     group_counters_[t.group]->truncated.fetch_add(reclaimed);
   }
   WalMetrics& wm = WalMetrics::get();
-  wm.bytes_durable->inc(wrote);
+  wm.bytes_durable->inc(marker.size());
   wm.flushes->inc();
   wm.truncated->inc(reclaimed);
   wm.truncates->inc();

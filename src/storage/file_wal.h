@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "storage/wal.h"
-#include "util/io_driver.h"
 
 namespace rspaxos::storage {
 
@@ -141,11 +140,6 @@ class FileWal final : public MuxWal {
   uint32_t num_groups_;
 
   // Flusher-thread private (atomics where other threads read diagnostics).
-  // The WAL owns a *dedicated* IoDriver rather than sharing the loop's:
-  // on the uring backend a shared ring would need cross-thread submission
-  // locking, and the flusher's WRITEV→FSYNC chains must never contend with
-  // socket poll traffic. See DESIGN.md §12.
-  std::unique_ptr<util::IoDriver> io_;
   int fd_;
   std::atomic<uint64_t> first_seq_;
   std::atomic<uint64_t> active_seq_;

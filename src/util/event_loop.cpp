@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <future>
+#include <memory>
 
 #include "util/logging.h"
 
@@ -14,17 +15,24 @@ namespace {
 
 constexpr int kMaxEvents = 64;
 
+bool ctl(int epfd, int op, int fd, uint32_t events, void* tag) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = tag;
+  return ::epoll_ctl(epfd, op, fd, &ev) == 0;
+}
+
 }  // namespace
 
 EventLoop::EventLoop()
-    : driver_(util::make_io_driver()),
+    : epfd_(::epoll_create1(EPOLL_CLOEXEC)),
       wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)),
       timer_fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK)) {
-  ok_ = driver_->ok() && wake_fd_ >= 0 && timer_fd_ >= 0 &&
-        driver_->add(wake_fd_, EPOLLIN, &wake_fd_) &&
-        driver_->add(timer_fd_, EPOLLIN, &timer_fd_);
+  ok_ = epfd_ >= 0 && wake_fd_ >= 0 && timer_fd_ >= 0 &&
+        ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN, &wake_fd_) &&
+        ctl(epfd_, EPOLL_CTL_ADD, timer_fd_, EPOLLIN, &timer_fd_);
   if (!ok_) {
-    RSP_ERROR << "event loop: io driver/eventfd/timerfd setup failed; loop is dead";
+    RSP_ERROR << "event loop: epoll/eventfd/timerfd setup failed; loop is dead";
     return;
   }
   std::promise<void> started;
@@ -38,9 +46,20 @@ EventLoop::EventLoop()
 
 EventLoop::~EventLoop() {
   stop();
+  if (epfd_ >= 0) ::close(epfd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (timer_fd_ >= 0) ::close(timer_fd_);
 }
+
+bool EventLoop::watch(int fd, uint32_t events, IoHandler* h) {
+  return ctl(epfd_, EPOLL_CTL_ADD, fd, events, h);
+}
+
+bool EventLoop::rewatch(int fd, uint32_t events, IoHandler* h) {
+  return ctl(epfd_, EPOLL_CTL_MOD, fd, events, h);
+}
+
+void EventLoop::unwatch(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
 void EventLoop::wake_locked() {
   if (!parked_.exchange(false)) return;
@@ -111,7 +130,7 @@ void EventLoop::arm_timer(TimeMicros deadline) {
 }
 
 void EventLoop::run() {
-  util::IoEvent evs[kMaxEvents];
+  epoll_event evs[kMaxEvents];
   std::vector<Task> tasks;
   while (true) {
     // Park only when nothing is runnable; a poster that sees parked_ writes
@@ -130,10 +149,10 @@ void EventLoop::run() {
     // Re-arm only when the earliest deadline moved earlier: a later-than-
     // needed arming just costs one spurious wake.
     if (timeout_ms != 0 && deadline < timer_armed_) arm_timer(deadline);
-    int n = driver_->wait(evs, kMaxEvents, timeout_ms);
+    int n = ::epoll_wait(epfd_, evs, kMaxEvents, timeout_ms);
     parked_.store(false);
     for (int i = 0; i < n; ++i) {
-      void* tag = evs[i].tag;
+      void* tag = evs[i].data.ptr;
       uint64_t v;
       if (tag == &wake_fd_) {
         while (::read(wake_fd_, &v, sizeof(v)) > 0) {

@@ -1,14 +1,13 @@
 // Single-threaded real-time event loop and I/O reactor.
 //
 // Each host in real (non-simulated) execution is driven by one EventLoop
-// thread. That thread blocks in one util::IoDriver (epoll or io_uring) on
-// three kinds of source: the sockets its owner registers with watch(), a
-// timerfd armed at the earliest timer deadline (microsecond resolution —
-// epoll_wait's own timeout is whole milliseconds), and an eventfd that other
-// threads write to hand it work. Socket callbacks, timers and posted tasks
-// all run on this one thread, which is what lets protocol code stay
-// lock-free (the same property the discrete-event simulator provides in
-// simulated runs).
+// thread. That thread blocks in the loop's own epoll instance on three kinds
+// of source: the sockets its owner registers with watch(), a timerfd armed at
+// the earliest timer deadline (microsecond resolution — epoll_wait's own
+// timeout is whole milliseconds), and an eventfd that other threads write to
+// hand it work. Socket callbacks, timers and posted tasks all run on this one
+// thread, which is what lets protocol code stay lock-free (the same property
+// the discrete-event simulator provides in simulated runs).
 //
 // One cycle: wait for readiness → socket callbacks → due timers → the tasks
 // queued so far → the cycle-end hook (the TCP transport flushes the frames
@@ -21,14 +20,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
 
 #include "util/clock.h"
-#include "util/io_driver.h"
 
 namespace rspaxos {
 
@@ -40,7 +37,7 @@ class EventLoop final : public Clock {
   using TimerId = uint64_t;
 
   /// Readiness callback for an fd registered with watch(). Runs on the loop
-  /// thread; `events` uses EPOLL* bits on both driver backends.
+  /// thread; `events` are the EPOLL* bits epoll_wait reported.
   class IoHandler {
    public:
     virtual void on_io(uint32_t events) = 0;
@@ -57,8 +54,8 @@ class EventLoop final : public Clock {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// False when the driver, eventfd or timerfd could not be created (fd
-  /// exhaustion). A dead loop starts no thread and drops every task.
+  /// False when the epoll instance, eventfd or timerfd could not be created
+  /// (fd exhaustion). A dead loop starts no thread and drops every task.
   bool ok() const { return ok_; }
 
   /// Enqueues a task to run on the loop thread (thread-safe). Dropped once
@@ -85,10 +82,13 @@ class EventLoop final : public Clock {
 
   TimeMicros now() const override;
 
-  // Reactor surface: loop thread only (the driver is single-owner).
-  bool watch(int fd, uint32_t events, IoHandler* h) { return driver_->add(fd, events, h); }
-  bool rewatch(int fd, uint32_t events, IoHandler* h) { return driver_->mod(fd, events, h); }
-  void unwatch(int fd) { driver_->del(fd); }
+  // Reactor surface: loop thread only. `events` are EPOLL* bits; epoll is
+  // level-triggered, so a handler that leaves bytes unread is called again.
+  // A handler that unwatches (and closes) its own fd inside on_io gets no
+  // further call.
+  bool watch(int fd, uint32_t events, IoHandler* h);
+  bool rewatch(int fd, uint32_t events, IoHandler* h);
+  void unwatch(int fd);
   /// Runs `fn` at the end of every cycle, after that cycle's tasks.
   void set_cycle_end(Task fn) { cycle_end_ = std::move(fn); }
 
@@ -111,7 +111,7 @@ class EventLoop final : public Clock {
   void wake_locked();
   void arm_timer(TimeMicros deadline);
 
-  std::unique_ptr<util::IoDriver> driver_;
+  int epfd_ = -1;
   int wake_fd_ = -1;
   int timer_fd_ = -1;
   bool ok_ = false;

@@ -393,5 +393,43 @@ TEST(Replica, SurvivesFullClusterRestart) {
   }
 }
 
+// A leader elected after a whole-cluster restart finds the slots its
+// predecessor committed still open, and its state machine lacks them until
+// it re-commits and applies them. Heartbeat acks alone must not make its
+// lease serve reads in that window: a fast read there missed acked writes.
+TEST(Replica, FreshLeaderServesNoLeaseReadBeforeApplyingWhatItRecovered) {
+  Cluster c(5);
+  ReplicaHost* l = c.wait_leader();
+  ASSERT_NE(l, nullptr);
+  int committed = 0;
+  for (int i = 0; i < 5; ++i) {
+    l->replica->propose(Bytes{static_cast<uint8_t>(i)}, Bytes(50, 9),
+                        [&](StatusOr<Slot> r) { if (r.is_ok()) committed++; });
+  }
+  c.world.run_for(1 * kSeconds);
+  ASSERT_EQ(committed, 5);
+
+  // Accepts are dropped across the restart, so the new leader cannot
+  // re-commit what it recovered; heartbeats and their acks still flow.
+  c.net.set_delivery_tap([](NodeId, NodeId, MsgType type, const SharedBytes&) {
+    return type != MsgType::kAccept;
+  });
+  for (auto& h : c.hosts) h->crash();
+  for (auto& h : c.hosts) h->restart();
+  ReplicaHost* l2 = c.wait_leader();
+  ASSERT_NE(l2, nullptr);
+  c.world.run_for(500 * kMillis);  // many heartbeat rounds, all acked
+  ASSERT_TRUE(l2->replica->is_leader());
+  EXPECT_LT(l2->replica->last_applied(), 5u);
+  EXPECT_FALSE(l2->replica->lease_valid());
+
+  // Accepts flow again: once the recovered slots are applied, the lease holds.
+  c.net.set_delivery_tap(nullptr);
+  c.world.run_for(2 * kSeconds);
+  ASSERT_TRUE(l2->replica->is_leader());
+  EXPECT_GE(l2->replica->last_applied(), 5u);
+  EXPECT_TRUE(l2->replica->lease_valid());
+}
+
 }  // namespace
 }  // namespace rspaxos::consensus

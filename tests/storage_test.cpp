@@ -101,13 +101,18 @@ TEST(SimWal, LostAppendCallbackNeverFires) {
 
 class FileWalTest : public ::testing::Test {
  protected:
+  // Each test's log lives in its own directory, so teardown also removes
+  // the segments (`path.<k>.seg`) and manifest written beside the log.
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("rspaxos_wal_test_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove(path_);
+    dir_ = std::filesystem::temp_directory_path() /
+           ("rspaxos_wal_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    path_ = dir_ / "wal";
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::filesystem::path dir_;
   std::filesystem::path path_;
 };
 

@@ -408,7 +408,11 @@ TEST(TcpLifetime, StalledFollowerIsNotRoutedAround) {
 // so no boot loses its first prepare: each group elects its bootstrap leader
 // in ballot round 1, with one campaign. (Before, about one boot in twenty at
 // three servers, and one in ten at five, lost the prepare and elected only
-// after an election timeout.)
+// after an election timeout.) Election timeouts of seconds, not the file's
+// 300-600 ms: a campaign round is two fsyncs and a round trip, and on a
+// loaded host (fdatasync 200 ms slower) that outlasts a 300 ms timeout, so
+// the leader recampaigns at round 2 and 3 although no prepare was lost. A
+// lost prepare still costs a second campaign after a timeout.
 TEST(TcpLifetime, EveryBootElectsItsBootstrapLeadersAtRoundOne) {
   struct Shape {
     int servers;
@@ -421,6 +425,8 @@ TEST(TcpLifetime, EveryBootElectsItsBootstrapLeadersAtRoundOne) {
     for (int boot = 0; boot < shape.boots; ++boot) {
       auto dir = fresh_dir("boot");
       node::TcpClusterOptions opts = base_options(dir, shape.servers);
+      opts.replica.election_timeout_min = 3 * kSeconds;
+      opts.replica.election_timeout_max = 6 * kSeconds;
       opts.num_groups = shape.groups;
       opts.spread_leaders = true;  // group g bootstraps on server g % servers
       auto started = node::TcpCluster::start(opts);
